@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .jones import TorusKnot
 from .laurent import DivisionByZero, MLPoly, NotDivisible
-from .operators import NamedOperator, VerifyReport, build_PQ, build_R
+from .operators import NamedOperator, VerifyReport, build_PQ, build_R, check_report
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,30 @@ def _epsilon_rhs(op: NamedOperator) -> list:
     raise ValueError(f"no factorization display for operator {op.name!r}")
 
 
+def factorization_text(op: NamedOperator) -> str:
+    """The printed factorization of epsilon(op), in the operator grammar."""
+    a, b = op.a, op.b
+    if op.name == "F":
+        ab2 = 2 * a * b
+        return (
+            f"M^-{ab2}*(M^{a}-M^-{a})*(M^{b}-M^-{b})"
+            f" * ((L-1)*(L^2*M^{ab2}-1))"
+        )
+    if op.name == "G":
+        return f"M^-{2 * b}*(M^2-M^-2) * ((L-1)*(L*M^{2 * b}+1))"
+    if op.name == "PQ":
+        return f"L^-2*(L^-1*M^-{a * b}*(L-1)*(L^2*M^{2 * a * b}-1))^4"
+    if op.name == "R":
+        return f"(L^-1*M^-{b}*(L-1)*(L*M^{2 * b}+1))^2"
+    raise ValueError(f"no factorization display for operator {op.name!r}")
+
+
 def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:
     """epsilon(op) must equal every displayed factorized form exactly."""
     image = op.element.epsilon()
-    for rhs in _epsilon_rhs(op):
-        diff = image - rhs
-        if not diff.is_zero():
-            return VerifyReport(
-                f"epsilon({op.name})", op.a, op.b, 0, 0, "fail", 0, str(diff)
-            )
-    return VerifyReport(f"epsilon({op.name})", op.a, op.b, 0, 0, "pass")
+    diffs = (image - rhs for rhs in _epsilon_rhs(op))
+    mismatch = next((diff for diff in diffs if not diff.is_zero()), None)
+    return check_report(f"epsilon({op.name})", op.a, op.b, mismatch)
 
 
 def check_p_membership_powers(K: TorusKnot) -> VerifyReport:
@@ -106,23 +120,11 @@ def check_p_membership_powers(K: TorusKnot) -> VerifyReport:
     else:
         lhs = build_PQ(K.a, K.b).element.epsilon()
         rhs = MLPoly.L_pow(-2) * ap ** 4
-    diff = lhs - rhs
-    status = "pass" if diff.is_zero() else "fail"
-    return VerifyReport(
-        "p-membership", K.a, K.b, 0, 0, status,
-        None if status == "pass" else 0,
-        None if status == "pass" else str(diff),
-    )
+    return check_report("p-membership", K.a, K.b, lhs - rhs)
 
 
 def check_a_prime_sigma(K: TorusKnot) -> VerifyReport:
     """sigma(A') = L^{-1} A' for a > 2 and sigma(A') = -A' for a = 2."""
     ap = a_prime(K)
     expected = -ap if K.a == 2 else MLPoly.L_pow(-1) * ap
-    diff = sigma_comm(ap) - expected
-    status = "pass" if diff.is_zero() else "fail"
-    return VerifyReport(
-        "sigma(A')", K.a, K.b, 0, 0, status,
-        None if status == "pass" else 0,
-        None if status == "pass" else str(diff),
-    )
+    return check_report("sigma(A')", K.a, K.b, sigma_comm(ap) - expected)

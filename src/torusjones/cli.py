@@ -1,18 +1,27 @@
 """Command-line interface: computation, verification, reduction and kernel
 search as reproducible batch commands with text or JSON-lines output.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+``IDENTITY_TABLE`` is the one list of what ``verify`` can check: each record
+names an identity, the knot family it applies to, the first color of its
+default n-range (None for a static check with no n-range) and how to run it.
+
+Exit codes: 0 success, 1 verification failure, 2 configuration error,
+3 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
-from . import classical, operators
+from . import classical
 from .jones import (
     SUITE_KNOTS,
     BadParams,
@@ -35,32 +44,74 @@ from .operators import (
     verify_sigma_fixed,
 )
 
-IDENTITIES = (
-    "recurrence3",
-    "recurrence2",
-    "F",
-    "G",
-    "PQ",
-    "R",
-    "lemmaQ",
-    "lemmaP",
-    "epsilon",
-    "sigma",
-    "p-membership",
-    "all",
-)
+#: last color of every default n-range
+DEFAULT_LAST_N = 20
 
-#: identities whose verification sweeps an n-range (shardable across workers)
-RANGE_IDENTITIES = {
-    "recurrence3",
-    "recurrence2",
-    "F",
-    "G",
-    "PQ",
-    "R",
-    "lemmaQ",
-    "lemmaP",
-}
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity ``verify`` can check.
+
+    ``run(K, n_range)`` returns a list of VerifyReports; n_range is None for
+    a static check. Runners look their callees up when they run, so a
+    wrapper patched over a module attribute sees every call.
+    """
+
+    name: str
+    family: str  # "a=2", "a>2" or "any"
+    first_n: int | None  # first color of the default n-range; None: static
+    run: Callable
+    annihilator: bool = False  # a named operator that annihilates J
+
+    @property
+    def static(self) -> bool:
+        return self.first_n is None
+
+    def applies(self, K: TorusKnot) -> bool:
+        return self.family == "any" or (self.family == "a=2") == (K.a == 2)
+
+    def default_range(self, full_z: bool) -> tuple:
+        return (1 if full_z else self.first_n, DEFAULT_LAST_N)
+
+
+def _annihilator(name: str, family: str, first_n: int) -> Identity:
+    def run(K, n_range):
+        return [verify_annihilation(build_named(name, K), jones_sequence(K), n_range)]
+
+    return Identity(name, family, first_n, run, annihilator=True)
+
+
+def _epsilon_checks(K, n_range):
+    return [
+        classical.check_epsilon_factorization(build_named(entry.name, K))
+        for entry in IDENTITY_TABLE
+        if entry.annihilator and entry.applies(K)
+    ]
+
+
+def _sigma_checks(K, n_range):
+    names = ("R",) if K.a == 2 else ("P", "Q", "PQ")
+    reports = [verify_sigma_fixed(build_named(nm, K)) for nm in names]
+    reports.append(classical.check_a_prime_sigma(K))
+    return reports
+
+
+# PQ reaches J(n-3) and R reaches J(n-2): their default n-ranges start at the
+# first color where every value consumed has a positive color.
+IDENTITY_TABLE = (
+    Identity("recurrence3", "a>2", 1, lambda K, rng: [verify_recurrence(K, "three_term", rng)]),
+    Identity("recurrence2", "a=2", 1, lambda K, rng: [verify_recurrence(K, "two_term", rng)]),
+    _annihilator("F", "a>2", 1),
+    _annihilator("G", "a=2", 1),
+    _annihilator("PQ", "a>2", 4),
+    _annihilator("R", "a=2", 3),
+    Identity("lemmaQ", "a>2", 1, lambda K, rng: [verify_lemma_Q(K, rng)]),
+    Identity("lemmaP", "a>2", 1, lambda K, rng: [verify_lemma_P(K, rng)]),
+    Identity("epsilon", "any", None, _epsilon_checks),
+    Identity("sigma", "any", None, _sigma_checks),
+    Identity("p-membership", "any", None, lambda K, rng: [classical.check_p_membership_powers(K)]),
+)
+IDENTITIES = {entry.name: entry for entry in IDENTITY_TABLE}
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -72,54 +123,20 @@ def parse_range(text: str) -> tuple:
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
-            raise ValueError(f"empty range {text!r}")
+            raise BadParams(f"empty range {text!r}")
         return lo, hi
-    return int(text), int(text)
+    try:
+        return int(text), int(text)
+    except ValueError:
+        raise BadParams(f"not a color or range LO..HI: {text!r}") from None
 
 
-def _applicable(identity: str, K: TorusKnot) -> bool:
-    two = K.a == 2
-    if identity in ("recurrence2", "G", "R"):
-        return two
-    if identity in ("recurrence3", "F", "PQ", "lemmaQ", "lemmaP"):
-        return not two
-    return True  # epsilon, sigma, p-membership
-
-
-def _default_range(identity: str, full_z: bool) -> tuple:
-    if full_z:
-        return (1, 20)
-    if identity == "PQ":
-        return (4, 20)
-    if identity == "R":
-        return (3, 20)
-    return (1, 20)
-
-
-def run_check(identity: str, K: TorusKnot, n_range: tuple) -> list:
+def run_check(identity: str, K: TorusKnot, n_range: tuple | None) -> list:
     """Run one named verification; returns a list of VerifyReports."""
-    if identity == "recurrence3":
-        return [verify_recurrence(K, "three_term", n_range)]
-    if identity == "recurrence2":
-        return [verify_recurrence(K, "two_term", n_range)]
-    if identity in ("F", "G", "PQ", "R"):
-        op = build_named(identity, K)
-        return [verify_annihilation(op, jones_sequence(K), n_range)]
-    if identity == "lemmaQ":
-        return [verify_lemma_Q(K, n_range)]
-    if identity == "lemmaP":
-        return [verify_lemma_P(K, n_range)]
-    if identity == "epsilon":
-        names = ("G", "R") if K.a == 2 else ("F", "PQ")
-        return [classical.check_epsilon_factorization(build_named(nm, K)) for nm in names]
-    if identity == "sigma":
-        names = ("R",) if K.a == 2 else ("P", "Q", "PQ")
-        reports = [verify_sigma_fixed(build_named(nm, K)) for nm in names]
-        reports.append(classical.check_a_prime_sigma(K))
-        return reports
-    if identity == "p-membership":
-        return [classical.check_p_membership_powers(K)]
-    raise ValueError(f"unknown identity {identity!r}")
+    entry = IDENTITIES.get(identity)
+    if entry is None:
+        raise BadParams(f"unknown identity {identity!r}")
+    return entry.run(K, n_range)
 
 
 def _worker_task(args: tuple) -> list:
@@ -174,35 +191,39 @@ def cmd_jones(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise BadParams(f"--workers must be at least 1, got {args.workers}")
+    workers = min(args.workers, os.cpu_count() or 1)
     if args.suite:
         knots = list(SUITE_KNOTS)
     else:
         if args.a is None or args.b is None:
             raise BadParams("give -a and -b, or --suite")
         knots = [TorusKnot(args.a, args.b)]
-    identities = list(IDENTITIES[:-1]) if args.identity == "all" else [args.identity]
+    entries = IDENTITY_TABLE if args.identity == "all" else (IDENTITIES[args.identity],)
+    n_range = parse_range(args.n) if args.n else None
 
-    jobs = []  # (identity, K, n_range)
+    jobs = []  # (identity, K, n_range or None for a static check)
     for K in knots:
-        for ident in identities:
-            if not _applicable(ident, K):
+        for entry in entries:
+            if not entry.applies(K):
                 if not args.suite and args.identity != "all":
-                    raise WrongCase(f"identity {ident} does not apply to {K}")
+                    raise WrongCase(f"identity {entry.name} does not apply to {K}")
                 continue
-            rng = parse_range(args.n) if args.n else _default_range(ident, args.full_z)
-            jobs.append((ident, K, rng))
+            rng = None if entry.static else n_range or entry.default_range(args.full_z)
+            jobs.append((entry.name, K, rng))
 
     reports = []
-    shardable = [j for j in jobs if j[0] in RANGE_IDENTITIES]
-    direct = [j for j in jobs if j[0] not in RANGE_IDENTITIES]
-    if args.workers > 1 and shardable:
+    shardable = [j for j in jobs if j[2] is not None]
+    direct = [j for j in jobs if j[2] is None]
+    if workers > 1 and shardable:
         tasks = []
         groups = []
         for ident, K, rng in shardable:
-            chunks = _split_range(rng, args.workers)
+            chunks = _split_range(rng, workers)
             groups.append((ident, K, rng, len(chunks)))
             tasks.extend((ident, K.a, K.b, c[0], c[1]) for c in chunks)
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_worker_task, tasks))
         pos = 0
         for ident, K, rng, nchunks in groups:
@@ -230,26 +251,9 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _factorization_text(op) -> str:
-    a, b = op.a, op.b
-    if op.name == "F":
-        ab2 = 2 * a * b
-        return (
-            f"M^-{ab2}*(M^{a}-M^-{a})*(M^{b}-M^-{b})"
-            f" * ((L-1)*(L^2*M^{ab2}-1))"
-        )
-    if op.name == "G":
-        return f"M^-{2 * b}*(M^2-M^-2) * ((L-1)*(L*M^{2 * b}+1))"
-    if op.name == "PQ":
-        return f"L^-2*(L^-1*M^-{a * b}*(L-1)*(L^2*M^{2 * a * b}-1))^4"
-    if op.name == "R":
-        return f"(L^-1*M^-{b}*(L-1)*(L*M^{2 * b}+1))^2"
-    raise ValueError(op.name)
-
-
 def cmd_reduce(args) -> int:
     name = args.operator
-    if name in ("G", "R"):
+    if IDENTITIES[name].family == "a=2":
         K = TorusKnot(2, args.b)
     else:
         if args.a is None:
@@ -267,7 +271,7 @@ def cmd_reduce(args) -> int:
                     "b": op.b,
                     "epsilon": str(image),
                     "terms": image.to_json(),
-                    "factorization": _factorization_text(op),
+                    "factorization": classical.factorization_text(op),
                     "status": report.status,
                 },
                 sort_keys=True,
@@ -275,7 +279,7 @@ def cmd_reduce(args) -> int:
         )
     else:
         print(f"epsilon({op}) = {image}")
-        print(f"= {_factorization_text(op)}")
+        print(f"= {classical.factorization_text(op)}")
         print(f"status: {report.status}")
     return 0 if report.passed else 1
 
@@ -334,18 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_jones.set_defaults(fn=cmd_jones)
 
     p_verify = sub.add_parser("verify", help="verify operator identities")
-    p_verify.add_argument("identity", choices=IDENTITIES)
+    p_verify.add_argument("identity", choices=(*IDENTITIES, "all"))
     p_verify.add_argument("-a", type=int)
     p_verify.add_argument("-b", type=int)
     p_verify.add_argument("--n", dest="n", help="range LO..HI (use --n=LO..HI for negatives)")
     p_verify.add_argument("--suite", action="store_true", help="run over the default knot set")
     p_verify.add_argument("--full-z", action="store_true", help="start annihilation sweeps at n=1 using the parity extension")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1, help="processes for n-range shards (at most the CPU count)"
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="print the t=-1 image and its factorization")
-    p_reduce.add_argument("operator", choices=("F", "G", "PQ", "R"))
+    p_reduce.add_argument(
+        "operator", choices=[entry.name for entry in IDENTITY_TABLE if entry.annihilator]
+    )
     p_reduce.add_argument("-a", type=int)
     p_reduce.add_argument("-b", type=int, required=True)
     p_reduce.add_argument("--json", action="store_true")
@@ -371,9 +379,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BadParams, WrongCase, SystemTooLarge, ValueError) as exc:
+    except (BadParams, WrongCase, SystemTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

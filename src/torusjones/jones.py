@@ -115,9 +115,5 @@ def jones_sequence(K: TorusKnot) -> DiscreteSeq:
     return DiscreteSeq(f"J_{K}", functools.partial(colored_jones, K))
 
 
-def g_sequence(K: TorusKnot) -> DiscreteSeq:
-    return DiscreteSeq(f"g_{K}", functools.partial(g_seq, K))
-
-
 def h_sequence(K: TorusKnot) -> DiscreteSeq:
     return DiscreteSeq(f"h_{K}", functools.partial(h_seq, K))

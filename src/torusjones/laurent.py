@@ -437,19 +437,6 @@ class MLPoly:
             rem = {l: ms for l, ms in rem.items() if ms}
         return MLPoly(quot_terms)
 
-    def unit_normalized(self) -> tuple:
-        """Return ((m, l) unit exponents, normalized) with the lowest exponents shifted to 0.
-
-        The original polynomial equals M^m * L^l times the normalized one.
-        """
-        if not self.terms:
-            return (0, 0), MLPoly.zero()
-        m0 = min(m for (m, _l) in self.terms)
-        l0 = min(l for (_m, l) in self.terms)
-        out = MLPoly()
-        out.terms = {(m - m0, l - l0): c for (m, l), c in self.terms.items()}
-        return (m0, l0), out
-
     @staticmethod
     def _fmt_term(m: int, l: int, c: int, first: bool) -> str:
         mag = abs(c)
@@ -503,16 +490,3 @@ def quantum_integer(k: int) -> TPoly:
 def lambda_poly(k: int) -> TPoly:
     """lambda_k = t^{2k} + t^{-2k}; symmetric in k <-> -k (lambda_0 = 2)."""
     return TPoly({2 * k: 1}) + TPoly({-2 * k: 1})
-
-
-def eval_m(c: Mapping[int, "TPoly | int"], n: int) -> TPoly:
-    """Substitute M -> t^{2n} into a Laurent polynomial in (t, M).
-
-    The input maps M-exponents to t-coefficients (TPoly or plain integers).
-    """
-    acc = TPoly.zero()
-    for m_exp, coeff in c.items():
-        if isinstance(coeff, int):
-            coeff = TPoly({0: coeff})
-        acc = acc + coeff.shift(2 * m_exp * n)
-    return acc

@@ -31,6 +31,18 @@ import numpy as np
 PRIMES = (524287, 524269, 524261, 524257, 524243)
 
 
+def primitive(vec: dict) -> dict:
+    """vec divided by the gcd of its entries."""
+    g = 0
+    for v in vec.values():
+        g = math.gcd(g, v)
+        if g == 1:
+            return vec
+    if g > 1:
+        return {c: v // g for c, v in vec.items()}
+    return vec
+
+
 class ExactEliminator:
     """Incremental sparse elimination over the integers.
 
@@ -47,17 +59,6 @@ class ExactEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @staticmethod
-    def _primitive(row: dict) -> dict:
-        g = 0
-        for v in row.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return row
-        if g > 1:
-            return {c: v // g for c, v in row.items()}
-        return row
-
     def add_row(self, row: dict) -> bool:
         """Reduce a row against the pivots; returns True if it added a pivot."""
         row = {c: v for c, v in row.items() if v}
@@ -65,7 +66,7 @@ class ExactEliminator:
             c = min(row)
             piv = self.pivots.get(c)
             if piv is None:
-                row = self._primitive(row)
+                row = primitive(row)
                 if row[c] < 0:
                     row = {k: -v for k, v in row.items()}
                 self.pivots[c] = row
@@ -83,7 +84,7 @@ class ExactEliminator:
                     new[k] = w
                 else:
                     new.pop(k, None)
-            row = self._primitive(new)
+            row = primitive(new)
         return False
 
     def nullspace(self) -> list:
@@ -107,13 +108,7 @@ class ExactEliminator:
             lcm = 1
             for v in x.values():
                 lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-            ints = {c: int(v * lcm) for c, v in x.items() if v}
-            g = 0
-            for v in ints.values():
-                g = math.gcd(g, v)
-            if g > 1:
-                ints = {c: v // g for c, v in ints.items()}
-            basis.append(ints)
+            basis.append(primitive({c: int(v * lcm) for c, v in x.items() if v}))
         return basis
 
 
@@ -281,9 +276,4 @@ def reconstruct_vector(vec: dict, p: int):
         v = n * (lcm // d)
         if v:
             ints[c] = v
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    return primitive(ints)

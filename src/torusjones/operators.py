@@ -8,10 +8,11 @@ algebra dictates before landing in M-before-L normal form.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .nullspace import (
     PRIMES,
     ExactEliminator,
     ModularRREF,
+    primitive,
     reconstruct_vector,
 )
 from .qtorus import DiscreteSeq, QTElem, acted
@@ -39,7 +41,6 @@ class SystemTooLarge(ValueError):
         self.cap = cap
 
 
-KERNEL_CAP_ENV = "TORUSJONES_KERNEL_CAP"
 DEFAULT_KERNEL_CAP = 20_000
 
 
@@ -87,6 +88,25 @@ class VerifyReport:
         if self.residual is not None:
             out["residual"] = self.residual
         return out
+
+
+def sweep(identity: str, a: int, b: int, n_range: tuple, residual) -> VerifyReport:
+    """Search the inclusive n_range for the first n whose residual(n) is
+    nonzero; that n and its residual are the failure witness."""
+    lo, hi = n_range
+    for n in range(lo, hi + 1):
+        value = residual(n)
+        if not value.is_zero():
+            return VerifyReport(identity, a, b, lo, hi, "fail", n, str(value))
+    return VerifyReport(identity, a, b, lo, hi, "pass")
+
+
+def check_report(identity: str, a: int, b: int, diff=None) -> VerifyReport:
+    """Report of a check with no n-range; a nonzero diff fails it, with
+    witness n = 0."""
+    if diff is None or diff.is_zero():
+        return VerifyReport(identity, a, b, 0, 0, "pass")
+    return VerifyReport(identity, a, b, 0, 0, "fail", 0, str(diff))
 
 
 def _sym(e: int, m: int) -> QTElem:
@@ -212,12 +232,7 @@ def _raise_case(name: str, K: TorusKnot):
 
 def verify_annihilation(op: NamedOperator, f: DiscreteSeq, n_range: tuple) -> VerifyReport:
     """Check (op f)(n) == 0 for every n in the inclusive range."""
-    lo, hi = n_range
-    for n in range(lo, hi + 1):
-        residual = op.element.apply(f, n)
-        if not residual.is_zero():
-            return VerifyReport(op.name, op.a, op.b, lo, hi, "fail", n, str(residual))
-    return VerifyReport(op.name, op.a, op.b, lo, hi, "pass")
+    return sweep(op.name, op.a, op.b, n_range, functools.partial(op.element.apply, f))
 
 
 def verify_lemma_Q(K: TorusKnot, n_range: tuple) -> VerifyReport:
@@ -230,69 +245,49 @@ def verify_lemma_Q(K: TorusKnot, n_range: tuple) -> VerifyReport:
     a, b = K.a, K.b
     q = build_Q(a, b)
     jser = jones_sequence(K)
-    lo, hi = n_range
     den = TPoly({2: 1, -2: -1})
     factor = (lambda_poly(a + b) - lambda_poly(a - b)).shift(2 * a * b - 2)
-    for n in range(lo, hi + 1):
-        lhs = den * q.element.apply(jser, n)
-        rhs = factor * h_seq(K, n)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            return VerifyReport("lemmaQ", a, b, lo, hi, "fail", n, str(diff))
-    return VerifyReport("lemmaQ", a, b, lo, hi, "pass")
+    return sweep(
+        "lemmaQ", a, b, n_range, lambda n: den * q.element.apply(jser, n) - factor * h_seq(K, n)
+    )
 
 
 def verify_lemma_P(K: TorusKnot, n_range: tuple) -> VerifyReport:
     """P annihilates the sequence h."""
-    op = build_P(K.a, K.b)
-    rep = verify_annihilation(op, h_sequence(K), n_range)
-    rep.identity = "lemmaP"
-    return rep
+    report = verify_annihilation(build_P(K.a, K.b), h_sequence(K), n_range)
+    return replace(report, identity="lemmaP")
 
 
 def verify_recurrence(K: TorusKnot, which: str, n_range: tuple) -> VerifyReport:
     """Check the three-term (a,b > 2) or two-term (a = 2) recurrence exactly."""
     a, b = K.a, K.b
-    lo, hi = n_range
     jser = jones_sequence(K)
     if which == "three_term":
         if a == 2:
             raise WrongCase(f"three-term recurrence needs a > 2, got {K}")
-        ident = "recurrence3"
-        for n in range(lo, hi + 1):
-            residual = jser(n + 2) - jser(n).shift(-4 * a * b * (n + 1)) - g_seq(K, n + 1)
-            if not residual.is_zero():
-                return VerifyReport(ident, a, b, lo, hi, "fail", n, str(residual))
-        return VerifyReport(ident, a, b, lo, hi, "pass")
+        return sweep(
+            "recurrence3", a, b, n_range,
+            lambda n: jser(n + 2) - jser(n).shift(-4 * a * b * (n + 1)) - g_seq(K, n + 1),
+        )
     if which == "two_term":
         if a != 2:
             raise WrongCase(f"two-term recurrence needs a = 2, got {K}")
-        ident = "recurrence2"
-        for n in range(lo, hi + 1):
-            residual = (
+        return sweep(
+            "recurrence2", a, b, n_range,
+            lambda n: (
                 jser(n + 1)
                 + jser(n).shift(-(4 * n + 2) * b)
                 - quantum_integer(2 * n + 1).shift(-2 * n * b)
-            )
-            if not residual.is_zero():
-                return VerifyReport(ident, a, b, lo, hi, "fail", n, str(residual))
-        return VerifyReport(ident, a, b, lo, hi, "pass")
+            ),
+        )
     raise ValueError(f"unknown recurrence kind {which!r}")
 
 
 def verify_sigma_fixed(op: NamedOperator) -> VerifyReport:
     """Check sigma(op) == op as a normal-form equality."""
-    fixed = op.element.sigma() == op.element
-    return VerifyReport(
-        f"sigma({op.name})",
-        op.a,
-        op.b,
-        0,
-        0,
-        "pass" if fixed else "fail",
-        None if fixed else 0,
-        None if fixed else str(op.element.sigma() - op.element),
-    )
+    image = op.element.sigma()
+    diff = None if image == op.element else image - op.element
+    return check_report(f"sigma({op.name})", op.a, op.b, diff)
 
 
 def verify_pq_consistency(K: TorusKnot, n_range: tuple) -> VerifyReport:
@@ -302,46 +297,28 @@ def verify_pq_consistency(K: TorusKnot, n_range: tuple) -> VerifyReport:
     pq = build_PQ(K.a, K.b)
     jser = jones_sequence(K)
     qj = acted(q.element, jser, "QJ")
-    lo, hi = n_range
-    for n in range(lo, hi + 1):
-        diff = pq.element.apply(jser, n) - p.element.apply(qj, n)
-        if not diff.is_zero():
-            return VerifyReport("pq-consistency", K.a, K.b, lo, hi, "fail", n, str(diff))
-    return VerifyReport("pq-consistency", K.a, K.b, lo, hi, "pass")
+    return sweep(
+        "pq-consistency", K.a, K.b, n_range,
+        lambda n: pq.element.apply(jser, n) - p.element.apply(qj, n),
+    )
 
 
 # --- bounded minimality kernel search ---------------------------------------
 
 
-def _parity_plan(evens: list, odds: list) -> list:
-    """Order the parity classes as (slots, derive_shift) pairs.
-
-    derive_shift is None for the class solved by elimination; the other class
-    carries the unit t-shift that embeds it into the solved class's window.
-    """
-    if not odds:
-        return [(evens, None)]
-    if not evens:
-        return [(odds, None)]
-
-    def embeds(src: list, dst: list):
-        for s in (-1, 1):
-            if src[0] + s >= dst[0] and src[-1] + s <= dst[-1]:
-                return s
-        return None
-
+def _parity_plan(evens: list, odds: list) -> tuple:
+    """(solved, derived): the parity class solved by elimination, and None or
+    (slots, shift) for the other class with the unit t-shift that embeds it
+    into the solved class's window. For an interval window the larger class
+    (evens on a tie) always admits one."""
+    if not odds or not evens:
+        return evens or odds, None
     first, second = (evens, odds) if len(evens) >= len(odds) else (odds, evens)
-    s = embeds(second, first)
-    if s is not None:
-        return [(first, None), (second, s)]
-    s = embeds(first, second)
-    if s is not None:
-        return [(second, None), (first, s)]
-    # not reachable for interval windows, but stay safe
-    return [(evens, None), (odds, None)]
+    shift = -1 if second[0] - 1 >= first[0] and second[-1] - 1 <= first[-1] else 1
+    return first, (second, shift)
 
 
-def _derive_parity_kernel(basis_a, slots_a, slots_b, shift, m_degree, l_degree):
+def _derive_parity_kernel(basis_a, slots_a, slots_b, shift, stride):
     """Kernel of a parity block from the solved block it embeds into.
 
     A candidate over slots_b corresponds, via multiplication by t^shift, to a
@@ -350,9 +327,6 @@ def _derive_parity_kernel(basis_a, slots_a, slots_b, shift, m_degree, l_degree):
     """
     if not basis_a:
         return []
-    mw = m_degree + 1
-    lw = l_degree + 1
-    stride = mw * lw
     allowed = {beta + shift for beta in slots_b}
     index_b = {alpha: i for i, alpha in enumerate(slots_b)}
     elim = ExactEliminator(len(basis_a))
@@ -377,12 +351,7 @@ def _derive_parity_kernel(basis_a, slots_a, slots_b, shift, m_degree, l_degree):
         for col, val in acc.items():
             ai, rem = divmod(col, stride)
             vec_b[index_b[slots_a[ai] - shift] * stride + rem] = val
-        g = 0
-        for v in vec_b.values():
-            g = math.gcd(g, v)
-        if g > 1:
-            vec_b = {c: v // g for c, v in vec_b.items()}
-        out.append(vec_b)
+        out.append(primitive(vec_b))
     return out
 
 
@@ -416,13 +385,6 @@ class KernelResult:
     underdetermined: bool = False
 
 
-def _kernel_cap(query: KernelQuery) -> int:
-    if query.cap is not None:
-        return query.cap
-    env = os.environ.get(KERNEL_CAP_ENV)
-    return int(env) if env else DEFAULT_KERNEL_CAP
-
-
 def _vector_to_qtelem(vec: dict, slots: list, m_degree: int, l_degree: int) -> QTElem:
     mwidth = m_degree + 1
     lwidth = l_degree + 1
@@ -438,147 +400,142 @@ def _vector_to_qtelem(vec: dict, slots: list, m_degree: int, l_degree: int) -> Q
 
 
 def _verify_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> bool:
+    return sweep("candidate", 0, 0, n_range, functools.partial(elem.apply, jser)).passed
+
+
+class _ColorBlock(NamedTuple):
+    """The constraint rows of one color n: row i is the coefficient of
+    t^(beta_min + 2i). polys[j] is J(n+j) as (lowest degree, dense vector on
+    the even t-exponent lattice), or None when J(n+j) is zero."""
+
+    n: int
+    polys: list
+    beta_min: int
+    width: int
+
+
+def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
+    """The block geometry of every color in n_range; None for a color whose
+    values J(n), ..., J(n + l_degree) are all zero."""
+    blocks = []
     for n in range(n_range[0], n_range[1] + 1):
-        if not elem.apply(jser, n).is_zero():
-            return False
-    return True
+        polys = []
+        lo_b = hi_b = None
+        for j in range(l_degree + 1):
+            poly = jser(n + j)
+            if poly.is_zero():
+                polys.append(None)
+                continue
+            lo = poly.lowest_degree()
+            hi = poly.highest_degree()
+            vec = [0] * ((hi - lo) // 2 + 1)
+            for e, c in poly.terms.items():
+                if (e - lo) % 2:
+                    raise AssertionError("colored Jones support is not on one parity class")
+                vec[(e - lo) // 2] = c
+            polys.append((lo, vec))
+            for k in (0, m_degree):
+                lo_c = slots[0] + 2 * k * n + lo
+                hi_c = slots[-1] + 2 * k * n + hi
+                lo_b = lo_c if lo_b is None else min(lo_b, lo_c)
+                hi_b = hi_c if hi_b is None else max(hi_b, hi_c)
+        blocks.append(None if lo_b is None else _ColorBlock(n, polys, lo_b, (hi_b - lo_b) // 2 + 1))
+    return blocks
 
 
-def _block_supports(jser: DiscreteSeq, n: int, l_degree: int):
-    """Dense coefficient vectors of J(n+j) on the even t-exponent lattice."""
-    polys = []
-    for j in range(l_degree + 1):
-        poly = jser(n + j)
-        if poly.is_zero():
-            polys.append(None)
-            continue
-        lo = poly.lowest_degree()
-        hi = poly.highest_degree()
-        vec = [0] * ((hi - lo) // 2 + 1)
-        for e, c in poly.terms.items():
-            if (e - lo) % 2:
-                raise AssertionError("colored Jones support is not on one parity class")
-            vec[(e - lo) // 2] = c
-        polys.append((lo, vec))
-    return polys
-
-
-def _block_geometry(polys, slots, m_degree, n):
-    lo_b = None
-    hi_b = None
-    for j, pj in enumerate(polys):
+def _placements(block: _ColorBlock, slots: list, mwidth: int, lwidth: int):
+    """(column, first row, j) of every shifted copy of J(n+j) in the block:
+    the unknown x * t^alpha M^k L^j contributes t^(alpha + 2kn) J(n+j)."""
+    n = block.n
+    for j, pj in enumerate(block.polys):
         if pj is None:
             continue
-        plo, vec = pj
-        phi = plo + 2 * (len(vec) - 1)
-        for k in (0, m_degree):
-            shift = 2 * k * n
-            lo_c = slots[0] + shift + plo
-            hi_c = slots[-1] + shift + phi
-            lo_b = lo_c if lo_b is None else min(lo_b, lo_c)
-            hi_b = hi_c if hi_b is None else max(hi_b, hi_c)
-    if lo_b is None:
-        return None
-    return lo_b, (hi_b - lo_b) // 2 + 1
+        for k in range(mwidth):
+            base = 2 * k * n + pj[0]
+            for ai, alpha in enumerate(slots):
+                yield (ai * mwidth + k) * lwidth + j, (alpha + base - block.beta_min) // 2, j
 
 
-def _solve_block_exact(jser, slots, m_degree, l_degree, n_range, full_range):
-    ncols = len(slots) * (m_degree + 1) * (l_degree + 1)
+def _exact_attempts(ncols: int):
+    """The one exact attempt: (prime, eliminator, feed, candidates)."""
     elim = ExactEliminator(ncols)
-    mwidth, lwidth = m_degree + 1, l_degree + 1
-    rows_total = 0
-    groups = list(range(n_range[0], n_range[1] + 1))
-    for gi, n in enumerate(groups):
-        polys = _block_supports(jser, n, l_degree)
-        geom = _block_geometry(polys, slots, m_degree, n)
-        if geom is None:
-            continue
-        beta_min, width = geom
-        rows = [dict() for _ in range(width)]
-        for j, pj in enumerate(polys):
-            if pj is None:
-                continue
-            plo, vec = pj
-            for k in range(mwidth):
-                base = 2 * k * n + plo
-                for ai, alpha in enumerate(slots):
-                    col = (ai * mwidth + k) * lwidth + j
-                    off = (alpha + base - beta_min) // 2
-                    for idx, c in enumerate(vec):
-                        if c:
-                            rows[off + idx][col] = c
-        before = elim.rank
+
+    def feed(block, placements):
+        rows = [dict() for _ in range(block.width)]
+        for col, off, j in placements:
+            for idx, c in enumerate(block.polys[j][1]):
+                if c:
+                    rows[off + idx][col] = c
         for row in rows:
             if row:
                 elim.add_row(row)
-        rows_total += width
-        if elim.rank == ncols:
-            return elim.rank, [], rows_total
-        if gi >= 1 and elim.rank == before and ncols - elim.rank <= 64:
-            basis = elim.nullspace()
-            elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in basis]
-            if all(_verify_candidate(e, jser, full_range) for e in elems):
-                return elim.rank, basis, rows_total
-    basis = elim.nullspace()
-    elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in basis]
-    if not all(_verify_candidate(e, jser, full_range) for e in elems):
-        raise AssertionError("exact kernel vector failed verification; assembly bug")
-    return elim.rank, basis, rows_total
+
+    yield None, elim, feed, elim.nullspace
 
 
-def _solve_block_modular(jser, slots, m_degree, l_degree, n_range, full_range):
-    ncols = len(slots) * (m_degree + 1) * (l_degree + 1)
-    mwidth, lwidth = m_degree + 1, l_degree + 1
-    groups = list(range(n_range[0], n_range[1] + 1))
+def _modular_attempts(ncols: int):
+    """One attempt per prime: (prime, eliminator, feed, candidates); the
+    candidates are None when rational reconstruction fails."""
     for p in PRIMES:
         mr = ModularRREF(ncols, p)
-        rows_total = 0
-        verified = None
-        for gi, n in enumerate(groups):
-            polys = _block_supports(jser, n, l_degree)
-            geom = _block_geometry(polys, slots, m_degree, n)
-            if geom is None:
-                continue
-            beta_min, width = geom
+
+        def feed(block, placements, mr=mr, p=p):
+            arrays = [
+                None if pj is None else np.asarray(pj[1], dtype=np.float64) % p
+                for pj in block.polys
+            ]
             # build transposed so the per-column strips are contiguous writes
-            BT = np.zeros((ncols, width))
-            for j, pj in enumerate(polys):
-                if pj is None:
-                    continue
-                plo, vec = pj
-                varr = np.asarray(vec, dtype=np.float64) % p
-                for k in range(mwidth):
-                    base = 2 * k * n + plo
-                    for ai, alpha in enumerate(slots):
-                        col = (ai * mwidth + k) * lwidth + j
-                        off = (alpha + base - beta_min) // 2
-                        BT[col, off : off + len(vec)] = varr
-            before = mr.rank
+            BT = np.zeros((ncols, block.width))
+            for col, off, j in placements:
+                BT[col, off : off + len(arrays[j])] = arrays[j]
             mr.process_block(BT.T)
-            del BT
-            rows_total += width
-            if mr.rank == ncols:
-                return mr.rank, [], rows_total, p
-            if gi >= 1 and mr.rank == before and ncols - mr.rank <= 64:
-                lifted = [reconstruct_vector(v, p) for v in mr.nullspace_mod_p()]
-                if all(v is not None for v in lifted):
-                    elems = [
-                        _vector_to_qtelem(v, slots, m_degree, l_degree) for v in lifted
-                    ]
-                    if all(_verify_candidate(e, jser, full_range) for e in elems):
-                        verified = (mr.rank, lifted, rows_total)
-                        break
-        if verified is not None:
-            return (*verified, p)
-        if mr.rank == ncols:
-            return mr.rank, [], rows_total, p
-        # range exhausted; one last reconstruction attempt before trying a new prime
-        if ncols - mr.rank <= 64:
+
+        def candidates(mr=mr, p=p):
             lifted = [reconstruct_vector(v, p) for v in mr.nullspace_mod_p()]
-            if all(v is not None for v in lifted):
-                elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in lifted]
-                if all(_verify_candidate(e, jser, full_range) for e in elems):
-                    return mr.rank, lifted, rows_total, p
+            return lifted if all(v is not None for v in lifted) else None
+
+        yield p, mr, feed, candidates
+
+
+def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
+    """Rank, kernel basis, rows fed and prime (None when exact) of one parity class.
+
+    Colors are fed in order. The search stops at full rank, or, from the
+    second color on, when a color adds no rank, the nullity is at most 64
+    and the kernel candidates verify on the whole n_range.
+    """
+    mwidth, lwidth = m_degree + 1, l_degree + 1
+    ncols = len(slots) * mwidth * lwidth
+
+    def verified(vecs) -> bool:
+        if vecs is None:
+            return False
+        elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in vecs]
+        return all(_verify_candidate(e, jser, n_range) for e in elems)
+
+    attempts = _exact_attempts(ncols) if method == "exact" else _modular_attempts(ncols)
+    for prime, elim, feed, candidates in attempts:
+        rows_total = 0
+        for gi, block in enumerate(blocks):
+            if block is None:
+                continue
+            before = elim.rank
+            feed(block, _placements(block, slots, mwidth, lwidth))
+            rows_total += block.width
+            if elim.rank == ncols:
+                return elim.rank, [], rows_total, prime
+            if gi >= 1 and elim.rank == before and ncols - elim.rank <= 64:
+                vecs = candidates()
+                if verified(vecs):
+                    return elim.rank, vecs, rows_total, prime
+        # range exhausted: the exact kernel must verify; a modular one gets a
+        # last reconstruction attempt before the next prime
+        if prime is None or ncols - elim.rank <= 64:
+            vecs = candidates()
+            if verified(vecs):
+                return elim.rank, vecs, rows_total, prime
+        if prime is None:
+            raise AssertionError("exact kernel vector failed verification; assembly bug")
     raise RuntimeError(
         "modular kernel could not be certified with the available primes; "
         "widen n_range or use the exact method"
@@ -593,28 +550,26 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     statement); a positive dimension comes with verified witness operators.
     """
     if query.l_degree < 0 or query.m_degree < 0:
-        raise ValueError("degree bounds must be nonnegative")
+        raise BadParams("degree bounds must be nonnegative")
     lo, hi = query.t_window
     if lo > hi:
-        raise ValueError("empty t-window")
+        raise BadParams("empty t-window")
     nlo, nhi = query.n_range
     if nlo > nhi:
-        raise ValueError("empty n-range")
+        raise BadParams("empty n-range")
     unknowns = (hi - lo + 1) * (query.m_degree + 1) * (query.l_degree + 1)
-    cap = _kernel_cap(query)
+    cap = DEFAULT_KERNEL_CAP if query.cap is None else query.cap
     if unknowns > cap:
         raise SystemTooLarge(unknowns, cap)
     method = query.method
     if method == "auto":
         method = "exact" if unknowns <= 2000 else "modular"
     if method not in ("exact", "modular"):
-        raise ValueError(f"unknown method {query.method!r}")
+        raise BadParams(f"unknown method {query.method!r}")
 
     jser = jones_sequence(query.knot)
-    basis = []
-    rank = 0
-    rows_total = 0
-    prime = None
+    m_degree, l_degree = query.m_degree, query.l_degree
+    stride = (m_degree + 1) * (l_degree + 1)
     # The colored Jones support sits on even t-exponents, so the system is
     # block diagonal in the parity of alpha. One parity class is solved by
     # elimination; the other embeds into it by a t-shift (for an interval
@@ -622,45 +577,24 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     # larger), so its kernel is derived exactly instead of re-eliminated.
     evens = [alpha for alpha in range(lo, hi + 1) if alpha % 2 == 0]
     odds = [alpha for alpha in range(lo, hi + 1) if alpha % 2]
-    plan = _parity_plan(evens, odds)
-    unknowns_solved = 0
-    for slots, derive_from in plan:
-        if derive_from is None:
-            unknowns_solved += len(slots) * (query.m_degree + 1) * (query.l_degree + 1)
-            if method == "exact":
-                r, vecs, rows = _solve_block_exact(
-                    jser, slots, query.m_degree, query.l_degree, query.n_range, query.n_range
-                )
-            else:
-                r, vecs, rows, prime = _solve_block_modular(
-                    jser, slots, query.m_degree, query.l_degree, query.n_range, query.n_range
-                )
-            solved = (slots, vecs)
-            rows_total += rows
-        else:
-            shift = derive_from
-            vecs = _derive_parity_kernel(
-                solved[1], solved[0], slots, shift, query.m_degree, query.l_degree
-            )
-            r = len(slots) * (query.m_degree + 1) * (query.l_degree + 1) - len(vecs)
-            for v in vecs:
-                elem = _vector_to_qtelem(v, slots, query.m_degree, query.l_degree)
-                if not _verify_candidate(elem, jser, query.n_range):
-                    raise AssertionError("derived parity kernel vector failed verification")
-        rank += r
-        basis.extend(_vector_to_qtelem(v, slots, query.m_degree, query.l_degree) for v in vecs)
+    solved, derived = _parity_plan(evens, odds)
+    blocks = _color_blocks(jser, solved, m_degree, l_degree, query.n_range)
+    rank, vecs, rows_total, prime = _solve_block(
+        jser, solved, blocks, m_degree, l_degree, query.n_range, method
+    )
+    basis = [_vector_to_qtelem(v, solved, m_degree, l_degree) for v in vecs]
+    if derived is not None:
+        slots, shift = derived
+        derived_vecs = _derive_parity_kernel(vecs, solved, slots, shift, stride)
+        rank += len(slots) * stride - len(derived_vecs)
+        derived_basis = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in derived_vecs]
+        if not all(_verify_candidate(e, jser, query.n_range) for e in derived_basis):
+            raise AssertionError("derived parity kernel vector failed verification")
+        basis += derived_basis
     # the recommendation is about the queried range, not the (possibly
     # early-stopped) rows actually processed
-    potential_rows = 0
-    for slots, derive_from in plan:
-        if derive_from is not None:
-            continue
-        for n in range(nlo, nhi + 1):
-            geom = _block_geometry(
-                _block_supports(jser, n, query.l_degree), slots, query.m_degree, n
-            )
-            if geom is not None:
-                potential_rows += geom[1]
+    potential_rows = sum(block.width for block in blocks if block is not None)
+    unknowns_solved = len(solved) * stride
     underdetermined = potential_rows < unknowns_solved
     if underdetermined:
         warnings.warn(

@@ -18,6 +18,7 @@ commutative ring of (M, L) Laurent polynomials.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping
 
 from .laurent import MLPoly, TPoly
@@ -210,9 +211,6 @@ class QTElem:
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
 
-    def l_degrees(self) -> list:
-        return sorted({l for (_k, l) in self.terms})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -254,23 +252,6 @@ class QTElem:
         return f"QTElem('{self}')"
 
 
-def qt_mul(x: QTElem, y: QTElem) -> QTElem:
-    """Noncommutative product in normal form."""
-    return x * y
-
-
-def sigma(x: QTElem) -> QTElem:
-    return x.sigma()
-
-
-def epsilon(x: QTElem) -> MLPoly:
-    return x.epsilon()
-
-
-def apply_op(x: QTElem, f: Callable[[int], TPoly], n: int) -> TPoly:
-    return x.apply(f, n)
-
-
 class DiscreteSeq:
     """A memoized total function Z -> TPoly with a printable rule name.
 
@@ -296,15 +277,9 @@ class DiscreteSeq:
         return f"DiscreteSeq({self.name!r})"
 
 
-def _acted_value(op: QTElem, f: DiscreteSeq, n: int) -> TPoly:
-    return op.apply(f, n)
-
-
 def acted(op: QTElem, f: DiscreteSeq, name: str | None = None) -> DiscreteSeq:
     """The sequence n -> (op f)(n)."""
-    import functools
-
-    return DiscreteSeq(name or f"({f.name} acted)", functools.partial(_acted_value, op, f))
+    return DiscreteSeq(name or f"({f.name} acted)", functools.partial(op.apply, f))
 
 
 # --- operator grammar -------------------------------------------------------

@@ -9,12 +9,13 @@ from torusjones.classical import (
     check_epsilon_factorization,
     check_p_membership_powers,
     divides,
+    factorization_text,
     sigma_comm,
 )
 from torusjones.jones import SUITE_KNOTS, TorusKnot
 from torusjones.laurent import DivisionByZero, MLPoly, TPoly
-from torusjones.operators import build_F, build_G, build_PQ, build_R
-from torusjones.qtorus import QTElem
+from torusjones.operators import build_F, build_G, build_PQ, build_R, build_named
+from torusjones.qtorus import QTElem, parse
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -90,6 +91,13 @@ class TestEpsilonFactorization:
         assert check_epsilon_factorization(build_G(5)).passed
         assert check_epsilon_factorization(build_PQ(3, 4)).passed
         assert check_epsilon_factorization(build_R(3)).passed
+
+    @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
+    def test_printed_factorization_matches_image(self, K):
+        # the text `reduce` prints must stay equal to the reduced operator
+        for name in ("G", "R") if K.a == 2 else ("F", "PQ"):
+            op = build_named(name, K)
+            assert parse(factorization_text(op)).epsilon() == op.element.epsilon(), op
 
     def test_r_displays_agree(self):
         b = 3

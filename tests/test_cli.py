@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from torusjones import cli
+from torusjones.jones import BadParams
+from torusjones.laurent import NotDivisible
 from torusjones.operators import VerifyReport
 
 
@@ -108,6 +111,90 @@ class TestVerifyCommand:
         assert (rec["n_from"], rec["n_to"]) == (1, 8)
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        RecordingExecutor.sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return RecordingExecutor
+
+    def test_clamped_to_cpu_count(self, capsys, executor):
+        code, out, _ = run(
+            capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..20", "--workers", "64"
+        )
+        assert code == 0
+        assert executor.sizes == [4]
+        assert out == "G a=2 b=3 n=1..20: pass\n"
+
+    def test_pool_no_larger_than_task_count(self, capsys, executor):
+        code, _, _ = run(
+            capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..3", "--workers", "4"
+        )
+        assert code == 0
+        assert executor.sizes == [3]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_rejected(self, capsys, executor, n):
+        code, _, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", f"--workers={n}")
+        assert code == 2
+        assert "--workers" in err
+        assert executor.sizes == []
+
+    def test_merge_keeps_first_failure(self, capsys, executor, monkeypatch):
+        # every shard from n = 5 on fails at its own first color
+        def fake(identity, K, n_range):
+            lo, hi = n_range
+            if hi < 5:
+                return [VerifyReport(identity, K.a, K.b, lo, hi, "pass")]
+            witness = max(lo, 5)
+            return [VerifyReport(identity, K.a, K.b, lo, hi, "fail", witness, f"r{witness}")]
+
+        monkeypatch.setattr(cli, "run_check", fake)
+        argv = ("verify", "G", "-a", "2", "-b", "3", "--n", "1..8", "--json")
+        sharded = run(capsys, *argv, "--workers", "4")
+        assert executor.sizes == [4]
+        assert sharded == run(capsys, *argv)
+        assert json.loads(sharded[1])["witness_n"] == 5
+
+
+class TestExitCodes:
+    def test_non_integer_color_is_configuration_error(self, capsys):
+        code, _, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "abc")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
+        def broken(identity, K, n_range):
+            raise NotDivisible("remainder left over")
+
+        monkeypatch.setattr(cli, "run_check", broken)
+        code, out, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "NotDivisible: remainder left over" in err
+
+
 class TestReduceCommand:
     def test_reduce_R(self, capsys):
         code, out, _ = run(capsys, "reduce", "R", "-b", "3")
@@ -165,3 +252,7 @@ class TestRangeParsing:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             cli.parse_range("7..3")
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(BadParams):
+            cli.parse_range("abc")

@@ -8,7 +8,6 @@ from torusjones.laurent import (
     NotDivisible,
     TPoly,
     ZeroPolynomial,
-    eval_m,
     lambda_poly,
     quantum_integer,
 )
@@ -184,18 +183,6 @@ class TestDegrees:
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
             TPoly.zero().lowest_degree()
-
-
-class TestEvalM:
-    def test_plain_m(self):
-        assert eval_m({1: 1}, 3) == TPoly({6: 1})
-
-    def test_with_t_coefficient(self):
-        assert eval_m({-2: TPoly({2: 1})}, 1) == TPoly({-2: 1})
-
-    def test_high_power(self):
-        # M^{2ab} with (a,b) = (2,3) at n = 2
-        assert eval_m({12: 1}, 2) == TPoly({48: 1})
 
 
 class TestText:

@@ -184,6 +184,19 @@ class TestKernel:
             minimality_kernel(KernelQuery(K34, 3, 100, (-300, 300), (1, 10)))
         assert exc.value.cap == 20_000
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            KernelQuery(K23, -1, 10, (-20, 2), (1, 12)),
+            KernelQuery(K23, 1, 10, (2, -20), (1, 12)),
+            KernelQuery(K23, 1, 10, (-20, 2), (12, 1)),
+            KernelQuery(K23, 1, 10, (-20, 2), (1, 12), method="dense"),
+        ],
+    )
+    def test_bad_query_is_bad_params(self, query):
+        with pytest.raises(BadParams):
+            minimality_kernel(query)
+
     def test_cap_override(self):
         with pytest.raises(SystemTooLarge):
             minimality_kernel(KernelQuery(K23, 2, 10, (-20, 2), (1, 12), cap=100))
