@@ -41,7 +41,15 @@ class SystemTooLarge(ValueError):
         self.cap = cap
 
 
+class Underdetermined(BadParams):
+    """A modular kernel query ran out of colors before its nullity fell to
+    ``MAX_CANDIDATE_NULLITY``."""
+
+
 DEFAULT_KERNEL_CAP = 20_000
+
+#: kernel candidates are read off and verified only at this nullity or below
+MAX_CANDIDATE_NULLITY = 64
 
 
 @dataclass(frozen=True)
@@ -501,8 +509,12 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
     """Rank, kernel basis, rows fed and prime (None when exact) of one parity class.
 
     Colors are fed in order. The search stops at full rank, or, from the
-    second color on, when a color adds no rank, the nullity is at most 64
-    and the kernel candidates verify on the whole n_range.
+    second color on, when a color adds no rank, the nullity is at most
+    MAX_CANDIDATE_NULLITY and the kernel candidates verify on the whole
+    n_range. A modular search moves on to the next prime only when
+    reconstruction or verification failed; a nullity still above the limit
+    after the last color raises Underdetermined at once: another prime can
+    change the rank only if this one divides a minor of the system.
     """
     mwidth, lwidth = m_degree + 1, l_degree + 1
     ncols = len(slots) * mwidth * lwidth
@@ -524,21 +536,26 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
             rows_total += block.width
             if elim.rank == ncols:
                 return elim.rank, [], rows_total, prime
-            if gi >= 1 and elim.rank == before and ncols - elim.rank <= 64:
+            if gi >= 1 and elim.rank == before and ncols - elim.rank <= MAX_CANDIDATE_NULLITY:
                 vecs = candidates()
                 if verified(vecs):
                     return elim.rank, vecs, rows_total, prime
         # range exhausted: the exact kernel must verify; a modular one gets a
         # last reconstruction attempt before the next prime
-        if prime is None or ncols - elim.rank <= 64:
-            vecs = candidates()
-            if verified(vecs):
-                return elim.rank, vecs, rows_total, prime
+        if prime is not None and ncols - elim.rank > MAX_CANDIDATE_NULLITY:
+            raise Underdetermined(
+                f"modular kernel nullity {ncols - elim.rank} is above "
+                f"{MAX_CANDIDATE_NULLITY} after the last color; "
+                "widen n_range or use the exact method"
+            )
+        vecs = candidates()
+        if verified(vecs):
+            return elim.rank, vecs, rows_total, prime
         if prime is None:
             raise AssertionError("exact kernel vector failed verification; assembly bug")
     raise RuntimeError(
-        "modular kernel could not be certified with the available primes; "
-        "widen n_range or use the exact method"
+        "modular kernel candidates failed reconstruction or verification at every prime; "
+        "use the exact method"
     )
 
 

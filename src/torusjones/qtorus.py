@@ -14,12 +14,22 @@ An element acts on a discrete function f: Z -> Z[t^{+-1}] by
 extended bilinearly.  The involution sigma negates the (k, l) exponents of
 normal-form monomials and the reduction epsilon sets t = -1, landing in the
 commutative ring of (M, L) Laurent polynomials.
+
+``QTElem.apply`` computes the action densely: each f(n+l) becomes an array on
+the lattice of its exponents and every monomial of every term adds a scaled
+copy into one accumulator.  Before allocating, it bounds every output
+coefficient by sum |c| * max|f(n+l)| over the contributions; the accumulator
+is int64 when that bound is below 2^62 and a numpy object array of Python
+ints otherwise, so the action is exact for any coefficient size.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .laurent import MLPoly, TPoly
 
@@ -199,14 +209,52 @@ class QTElem:
         return MLPoly(out)
 
     def apply(self, f: Callable[[int], TPoly], n: int) -> TPoly:
-        """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l)."""
-        acc = TPoly.zero()
+        """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l).
+
+        Each distinct f(n+l) is fetched once and laid out densely; every
+        monomial c t^e of a_{k,l} then adds c times that array into one
+        accumulator at exponent e + 2kn + (lowest exponent of f(n+l)). The
+        accumulator is int64 when the bound sum |c| * max|f(n+l)| over all
+        contributions is below 2^62, and a Python-int object array otherwise,
+        so the result is exact either way.
+        """
+        values = {}
+        for (_k, l) in self.terms:
+            if l not in values:
+                values[l] = _dense(f(n + l))
+        # contributions that land on the same array at the same offset add up
+        coeffs: dict = {}
         for (k, l), c in self.terms.items():
-            v = f(n + l)
-            if v.is_zero():
+            v = values[l]
+            if v is None:
                 continue
-            acc = acc + (c * v).shift(2 * k * n)
-        return acc
+            for e, ce in c.terms.items():
+                key = (l, e + 2 * k * n + v[0])
+                coeffs[key] = coeffs.get(key, 0) + ce
+        contribs = [(l, start, c) for (l, start), c in coeffs.items() if c]
+        if not contribs:
+            return TPoly.zero()
+        base = min(start for _l, start, _c in contribs)
+        step = 0
+        top = base
+        bound = 0
+        for l, start, c in contribs:
+            _lo, stride, arr, vmax = values[l]
+            step = math.gcd(step, stride, start - base)
+            top = max(top, start + stride * (len(arr) - 1))
+            bound += abs(c) * vmax
+        step = step or 1
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        acc = np.zeros((top - base) // step + 1, dtype=dtype)
+        for l, start, c in contribs:
+            _lo, stride, arr, _vmax = values[l]
+            off = (start - base) // step
+            gap = stride // step or 1
+            acc[off : off + gap * (len(arr) - 1) + 1 : gap] += c * arr.astype(dtype, copy=False)
+        nz = np.flatnonzero(acc)
+        out = TPoly()
+        out.terms = dict(zip((nz * step + base).tolist(), acc[nz].tolist()))
+        return out
 
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
@@ -250,6 +298,31 @@ class QTElem:
 
     def __repr__(self) -> str:
         return f"QTElem('{self}')"
+
+
+#: the int64 accumulator is used only below this coefficient bound
+_INT64_SAFE = 1 << 62
+
+
+def _dense(v: TPoly):
+    """v as (lowest exponent, stride, coefficient array, max |coefficient|),
+    or None when v is zero. The stride is the gcd of the exponent gaps (0 for
+    a single term); the array holds every lattice point from the lowest to
+    the highest exponent. Coefficients outside int64 give an object array."""
+    if not v.terms:
+        return None
+    size = len(v.terms)
+    exps = np.fromiter(v.terms.keys(), dtype=np.int64, count=size)
+    try:
+        vals = np.fromiter(v.terms.values(), dtype=np.int64, count=size)
+    except OverflowError:
+        vals = np.array(list(v.terms.values()), dtype=object)
+    lo = int(exps.min())
+    gaps = exps - lo
+    stride = int(np.gcd.reduce(gaps))
+    arr = np.zeros(int(gaps.max()) // (stride or 1) + 1, dtype=vals.dtype)
+    arr[gaps // (stride or 1)] = vals
+    return lo, stride, arr, max(int(vals.max()), -int(vals.min()))
 
 
 class DiscreteSeq:

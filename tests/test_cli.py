@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from torusjones import cli
+from torusjones import cli, operators
 from torusjones.jones import BadParams
 from torusjones.laurent import NotDivisible
 from torusjones.operators import VerifyReport
@@ -241,6 +241,25 @@ class TestKernelCommand:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_underdetermined_modular_exits_2_after_one_prime(self, capsys, monkeypatch):
+        built = []
+
+        class CountingRREF(operators.ModularRREF):
+            def __init__(self, ncols, p):
+                built.append(p)
+                super().__init__(ncols, p)
+
+        monkeypatch.setattr(operators, "ModularRREF", CountingRREF)
+        code, out, err = run(
+            capsys, "kernel", "-a", "2", "-b", "3", "--L-deg", "2", "--M-deg", "10",
+            "--t-window=-22..4", "--n-range", "1..2", "--method", "modular",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "widen n_range or use the exact method" in err
+        assert built == [operators.PRIMES[0]]
 
 
 class TestRangeParsing:
