@@ -87,6 +87,16 @@ class ExactEliminator:
             row = primitive(new)
         return False
 
+    def process_block(self, B: np.ndarray) -> int:
+        """Feed the nonzero rows of an integer block (rows x ncols) through
+        add_row in row order. Returns new pivot count."""
+        before = self.rank
+        for row in B:
+            nz = np.flatnonzero(row)
+            if nz.size:
+                self.add_row(dict(zip(nz.tolist(), row[nz].tolist())))
+        return self.rank - before
+
     def nullspace(self) -> list:
         """Primitive integer kernel basis vectors (one per free column)."""
         pcols = sorted(self.pivots)
@@ -192,9 +202,15 @@ class ModularRREF:
         self.rank = 0
 
     def process_block(self, B: np.ndarray) -> int:
-        """Feed a block of rows (integers, any sign). Returns new pivot count."""
+        """Feed a block of rows (integers, any sign). Returns new pivot count.
+
+        Integer and object input is reduced mod p before the float64 cast, so
+        entries past 2^53 keep their exact residues."""
         p = self.p
-        B = np.ascontiguousarray(np.asarray(B, dtype=np.float64) % p)
+        B = np.asarray(B)
+        if B.dtype.kind not in "iuO":
+            B = B.astype(np.float64, copy=False)
+        B = np.ascontiguousarray(B % p, dtype=np.float64)
         r = self.rank
         if r:
             C = B[:, self._pivcols[:r]]

@@ -25,7 +25,7 @@ from .nullspace import (
     primitive,
     reconstruct_vector,
 )
-from .qtorus import DiscreteSeq, QTElem, acted
+from .qtorus import DiscreteSeq, QTElem, _dense, acted
 
 
 class WrongCase(ValueError):
@@ -413,111 +413,85 @@ def _verify_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> bool:
 
 class _ColorBlock(NamedTuple):
     """The constraint rows of one color n: row i is the coefficient of
-    t^(beta_min + 2i). polys[j] is J(n+j) as (lowest degree, dense vector on
-    the even t-exponent lattice), or None when J(n+j) is zero."""
+    t^(beta_min + 2i). values[j] is J(n+j) in the dense layout of
+    ``qtorus._dense`` (the same tuple for every color that reads J(n+j)), or
+    None when J(n+j) is zero."""
 
     n: int
-    polys: list
+    values: list
     beta_min: int
     width: int
 
 
 def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
     """The block geometry of every color in n_range; None for a color whose
-    values J(n), ..., J(n + l_degree) are all zero."""
+    values J(n), ..., J(n + l_degree) are all zero. Each J(m) is fetched and
+    laid out once."""
+    nlo, nhi = n_range
+    dense = {}
+    for m in range(nlo, nhi + l_degree + 1):
+        v = dense[m] = _dense(jser(m))
+        if v is not None and (v[0] % 2 or v[1] % 2):
+            raise AssertionError("colored Jones support is not on the even t-exponents")
     blocks = []
-    for n in range(n_range[0], n_range[1] + 1):
-        polys = []
-        lo_b = hi_b = None
-        for j in range(l_degree + 1):
-            poly = jser(n + j)
-            if poly.is_zero():
-                polys.append(None)
-                continue
-            lo = poly.lowest_degree()
-            hi = poly.highest_degree()
-            vec = [0] * ((hi - lo) // 2 + 1)
-            for e, c in poly.terms.items():
-                if (e - lo) % 2:
-                    raise AssertionError("colored Jones support is not on one parity class")
-                vec[(e - lo) // 2] = c
-            polys.append((lo, vec))
-            for k in (0, m_degree):
-                lo_c = slots[0] + 2 * k * n + lo
-                hi_c = slots[-1] + 2 * k * n + hi
-                lo_b = lo_c if lo_b is None else min(lo_b, lo_c)
-                hi_b = hi_c if hi_b is None else max(hi_b, hi_c)
-        blocks.append(None if lo_b is None else _ColorBlock(n, polys, lo_b, (hi_b - lo_b) // 2 + 1))
+    for n in range(nlo, nhi + 1):
+        values = [dense[n + j] for j in range(l_degree + 1)]
+        present = [v for v in values if v is not None]
+        if not present:
+            blocks.append(None)
+            continue
+        lo = min(v[0] for v in present)
+        hi = max(v[0] + v[1] * (len(v[2]) - 1) for v in present)
+        spread = 2 * m_degree * n  # the M-shift t^(2kn) for k = m_degree
+        beta_min = slots[0] + lo + min(0, spread)
+        width = (slots[-1] + hi + max(0, spread) - beta_min) // 2 + 1
+        blocks.append(_ColorBlock(n, values, beta_min, width))
     return blocks
 
 
-def _placements(block: _ColorBlock, slots: list, mwidth: int, lwidth: int):
-    """(column, first row, j) of every shifted copy of J(n+j) in the block:
-    the unknown x * t^alpha M^k L^j contributes t^(alpha + 2kn) J(n+j)."""
-    n = block.n
-    for j, pj in enumerate(block.polys):
-        if pj is None:
+def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> np.ndarray:
+    """The integer constraint block of one color, rows x columns. The unknown
+    x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
+    contributes t^(alpha + 2kn) J(n+j); each copy is written with the strided
+    slice of ``QTElem.apply``. Python ints (object) when a value needs them."""
+    dtype = np.result_type(*(v[2] for v in block.values if v is not None))
+    # built transposed so that each copy lands in one row
+    BT = np.zeros((len(slots) * mwidth * lwidth, block.width), dtype=dtype)
+    for j, v in enumerate(block.values):
+        if v is None:
             continue
+        lo, stride, arr, _vmax = v
+        gap = stride // 2 or 1
+        span = gap * (len(arr) - 1) + 1
         for k in range(mwidth):
-            base = 2 * k * n + pj[0]
+            base = 2 * k * block.n + lo - block.beta_min
             for ai, alpha in enumerate(slots):
-                yield (ai * mwidth + k) * lwidth + j, (alpha + base - block.beta_min) // 2, j
-
-
-def _exact_attempts(ncols: int):
-    """The one exact attempt: (prime, eliminator, feed, candidates)."""
-    elim = ExactEliminator(ncols)
-
-    def feed(block, placements):
-        rows = [dict() for _ in range(block.width)]
-        for col, off, j in placements:
-            for idx, c in enumerate(block.polys[j][1]):
-                if c:
-                    rows[off + idx][col] = c
-        for row in rows:
-            if row:
-                elim.add_row(row)
-
-    yield None, elim, feed, elim.nullspace
-
-
-def _modular_attempts(ncols: int):
-    """One attempt per prime: (prime, eliminator, feed, candidates); the
-    candidates are None when rational reconstruction fails."""
-    for p in PRIMES:
-        mr = ModularRREF(ncols, p)
-
-        def feed(block, placements, mr=mr, p=p):
-            arrays = [
-                None if pj is None else np.asarray(pj[1], dtype=np.float64) % p
-                for pj in block.polys
-            ]
-            # build transposed so the per-column strips are contiguous writes
-            BT = np.zeros((ncols, block.width))
-            for col, off, j in placements:
-                BT[col, off : off + len(arrays[j])] = arrays[j]
-            mr.process_block(BT.T)
-
-        def candidates(mr=mr, p=p):
-            lifted = [reconstruct_vector(v, p) for v in mr.nullspace_mod_p()]
-            return lifted if all(v is not None for v in lifted) else None
-
-        yield p, mr, feed, candidates
+                off = (alpha + base) // 2
+                BT[(ai * mwidth + k) * lwidth + j, off : off + span : gap] = arr
+    return BT.T
 
 
 def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
     """Rank, kernel basis, rows fed and prime (None when exact) of one parity class.
 
-    Colors are fed in order. The search stops at full rank, or, from the
-    second color on, when a color adds no rank, the nullity is at most
+    Both engines take each color's block through ``process_block``. Colors
+    are fed in order. The search stops at full rank, or, from the second
+    color on, when a color adds no rank, the nullity is at most
     MAX_CANDIDATE_NULLITY and the kernel candidates verify on the whole
-    n_range. A modular search moves on to the next prime only when
-    reconstruction or verification failed; a nullity still above the limit
-    after the last color raises Underdetermined at once: another prime can
-    change the rank only if this one divides a minor of the system.
+    n_range. A modular search moves on to the next prime (building its
+    engine only then) when reconstruction or verification failed; a nullity
+    still above the limit after the last color raises Underdetermined at
+    once: another prime can change the rank only if this one divides a
+    minor of the system.
     """
     mwidth, lwidth = m_degree + 1, l_degree + 1
     ncols = len(slots) * mwidth * lwidth
+
+    def candidates(elim, prime):
+        if prime is None:
+            return elim.nullspace()
+        lifted = [reconstruct_vector(v, prime) for v in elim.nullspace_mod_p()]
+        return lifted if all(v is not None for v in lifted) else None
 
     def verified(vecs) -> bool:
         if vecs is None:
@@ -525,19 +499,19 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
         elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in vecs]
         return all(_verify_candidate(e, jser, n_range) for e in elems)
 
-    attempts = _exact_attempts(ncols) if method == "exact" else _modular_attempts(ncols)
-    for prime, elim, feed, candidates in attempts:
+    for prime in (None,) if method == "exact" else PRIMES:
+        elim = ExactEliminator(ncols) if prime is None else ModularRREF(ncols, prime)
         rows_total = 0
         for gi, block in enumerate(blocks):
             if block is None:
                 continue
             before = elim.rank
-            feed(block, _placements(block, slots, mwidth, lwidth))
+            elim.process_block(_color_matrix(block, slots, mwidth, lwidth))
             rows_total += block.width
             if elim.rank == ncols:
                 return elim.rank, [], rows_total, prime
             if gi >= 1 and elim.rank == before and ncols - elim.rank <= MAX_CANDIDATE_NULLITY:
-                vecs = candidates()
+                vecs = candidates(elim, prime)
                 if verified(vecs):
                     return elim.rank, vecs, rows_total, prime
         # range exhausted: the exact kernel must verify; a modular one gets a
@@ -548,7 +522,7 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
                 f"{MAX_CANDIDATE_NULLITY} after the last color; "
                 "widen n_range or use the exact method"
             )
-        vecs = candidates()
+        vecs = candidates(elim, prime)
         if verified(vecs):
             return elim.rank, vecs, rows_total, prime
         if prime is None:

@@ -1,0 +1,93 @@
+"""The kernel search's constraint blocks and its two engines.
+
+The block builder is checked column by column against ``QTElem.apply``, the
+action it encodes; the exact and modular engines are checked against each
+other on random small queries."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusjones.jones import TorusKnot
+from torusjones.laurent import TPoly
+from torusjones.operators import (
+    KernelQuery,
+    MAX_CANDIDATE_NULLITY,
+    Underdetermined,
+    _color_blocks,
+    _color_matrix,
+    minimality_kernel,
+)
+from torusjones.qtorus import DiscreteSeq, QTElem
+
+M_DEGREE = 3
+N_RANGE = (-3, 2)  # negative colors and the zero color J(0) = 0
+
+
+def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range):
+    """The column of x * t^alpha M^k L^j at color n holds the coefficients of
+    (t^alpha M^k L^j J)(n) on the rows t^(beta_min + 2i) and nothing else."""
+    mwidth, lwidth = m_degree + 1, l_degree + 1
+    blocks = _color_blocks(J, slots, m_degree, l_degree, n_range)
+    for n, block in zip(range(n_range[0], n_range[1] + 1), blocks):
+        B = None if block is None else _color_matrix(block, slots, mwidth, lwidth)
+        if B is not None:
+            assert B.shape == (block.width, len(slots) * mwidth * lwidth)
+        for ai, alpha in enumerate(slots):
+            for k in range(mwidth):
+                for j in range(lwidth):
+                    expected = QTElem({(k, j): TPoly({alpha: 1})}).apply(J, n).terms
+                    if B is None:
+                        assert not expected
+                        continue
+                    column = B[:, (ai * mwidth + k) * lwidth + j]
+                    rows = np.flatnonzero(column).tolist()
+                    got = {block.beta_min + 2 * i: int(column[i]) for i in rows}
+                    assert got == expected, (n, alpha, k, j)
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (3, 4)], ids=lambda ab: f"{ab[0]},{ab[1]}")
+@pytest.mark.parametrize("l_degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("window", [(-7, 2), (-6, 3)], ids=["odd-start", "even-start"])
+def test_block_columns_match_apply(ab, l_degree, window, jcache):
+    for parity in (0, 1):
+        slots = [alpha for alpha in range(window[0], window[1] + 1) if alpha % 2 == parity]
+        assert_columns_match_apply(jcache(TorusKnot(*ab)), slots, M_DEGREE, l_degree, N_RANGE)
+
+
+def test_block_past_int64_holds_python_ints():
+    table = {n: TPoly({2 * n: 2**70 + n, 2 * n + 4: -3}) for n in (-1, 1, 2, 3)}
+    J = DiscreteSeq("wide", lambda n: table.get(n, TPoly.zero()))
+    assert_columns_match_apply(J, [-4, -2, 0], 2, 1, (-1, 2))
+
+
+@st.composite
+def small_queries(draw):
+    knot = draw(st.sampled_from([TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)]))
+    lo = draw(st.integers(-40, 10))
+    n_lo = draw(st.integers(-4, 11))
+    return KernelQuery(
+        knot,
+        draw(st.integers(0, 2)),
+        draw(st.integers(0, 6)),
+        (lo, lo + draw(st.integers(0, 14))),
+        (n_lo, draw(st.integers(n_lo, 11))),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:kernel system is underdetermined")
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(small_queries())
+def test_exact_and_modular_kernels_agree(query):
+    exact = minimality_kernel(replace(query, method="exact"))
+    try:
+        modular = minimality_kernel(replace(query, method="modular"))
+    except Underdetermined:
+        # the modular engine reads off candidates only up to this nullity
+        assert exact.dimension > MAX_CANDIDATE_NULLITY
+        return
+    assert (modular.rank, modular.dimension) == (exact.rank, exact.dimension)
+    assert [str(e) for e in modular.basis] == [str(e) for e in exact.basis]

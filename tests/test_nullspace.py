@@ -185,6 +185,33 @@ class TestModularRREF:
         assert mr.rank == ref.rank
 
 
+    @pytest.mark.parametrize("dtype", [object, np.int64])
+    def test_integer_input_is_reduced_before_the_float_cast(self, dtype):
+        # v = 1 mod p, but float64(v) rounds away the 1 and reads as 0 mod p
+        p = PRIMES[0]
+        v = p * 2**35 + 1
+        assert float(v) % p == 0
+        mr = ModularRREF(1, p)
+        assert mr.process_block(np.array([[v]], dtype=dtype)) == 1
+
+
+class TestExactProcessBlock:
+    def test_matches_rows_fed_one_by_one(self):
+        rng = random.Random(11)
+        ncols = 12
+        rows = random_rows(rng, 25, ncols)
+        ref = ExactEliminator(ncols)
+        for r in rows:
+            ref.add_row(r)
+        B = np.zeros((len(rows) + 1, ncols), dtype=np.int64)  # plus one zero row
+        for i, r in enumerate(rows):
+            for c, v in r.items():
+                B[i, c] = v
+        elim = ExactEliminator(ncols)
+        assert elim.process_block(B) == ref.rank
+        assert elim.pivots == ref.pivots
+
+
 class TestRationalReconstruction:
     def test_small_fractions_roundtrip(self):
         p = PRIMES[0]
