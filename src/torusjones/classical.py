@@ -37,9 +37,7 @@ def a_prime(K: TorusKnot) -> MLPoly:
 
 def sigma_comm(x: MLPoly) -> MLPoly:
     """Negate both exponents termwise; a ring involution."""
-    out = MLPoly()
-    out.terms = {(-m, -l): c for (m, l), c in x.terms.items()}
-    return out
+    return MLPoly._wrap({(-m, -l): c for (m, l), c in x.terms.items()})
 
 
 def divides(d: MLPoly, x: MLPoly):

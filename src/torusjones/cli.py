@@ -6,7 +6,8 @@ names an identity, the knot family it applies to, the first color of its
 default n-range (None for a static check with no n-range) and how to run it.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 internal error (the traceback goes to stderr).
+3 internal error (the traceback goes to stderr), 141 the reader closed
+stdout before the output ended (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -378,7 +379,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so that the flush
+        # at interpreter exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (BadParams, WrongCase, SystemTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

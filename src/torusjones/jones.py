@@ -73,9 +73,7 @@ def colored_jones(K: TorusKnot, n: int) -> TPoly:
             else:
                 del acc[key]
     shift = -a * b * (n * n - 1)
-    out = TPoly()
-    out.terms = {e + shift: c for e, c in acc.items()}
-    return out
+    return TPoly._wrap({e + shift: c for e, c in acc.items()})
 
 
 def lowest_degree_formula(K: TorusKnot, n: int) -> int:

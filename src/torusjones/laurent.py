@@ -7,10 +7,10 @@ Two rings are provided:
 * ``MLPoly``: commutative Laurent polynomials in the pair (M, L), the target
   of the t = -1 reduction.
 
-Both are stored as sparse exponent -> coefficient maps with zero coefficients
-pruned eagerly, so equality is map equality and the zero polynomial is the
-empty map.  All values are immutable by convention: every operation returns a
-new object.
+Both, and the quantum torus ``qtorus.QTElem``, derive from ``SparseRing``:
+sparse exponent -> coefficient maps with zero coefficients pruned eagerly, so
+equality is map equality and the zero element is the empty map.  All values
+are immutable by convention: every operation returns a new object.
 """
 
 from __future__ import annotations
@@ -75,36 +75,52 @@ def _divide_univariate(num: dict, den: dict) -> dict:
     return quot
 
 
-class TPoly:
-    """A Laurent polynomial in t with integer coefficients.
+class SparseRing:
+    """A ring element stored as a sparse key -> nonzero coefficient map.
 
-    >>> TPoly({2: 1, -2: 1}) * TPoly({2: 1, -2: 1})
-    TPoly('t^-4 + 2 + t^4')
+    Subclasses fix the key of 1 (``ONE_KEY``), the scalars that coerce into
+    the ring as multiples of 1 (``SCALARS``; all central), the product of two
+    elements (``_mul``), the inverse of a unit monomial (``_invert_term``) and
+    the text of one term (``_term_text``). Everything else is shared: zero
+    pruning, equality, the additive group, coercion, powers and printing.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[e] = t.get(e, 0) + c
-                    if not t[e]:
-                        del t[e]
-        self.terms = t
+    ONE_KEY = 0
+    SCALARS = (int,)
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = self._pruned(terms) if terms else {}
+
+    @staticmethod
+    def _pruned(terms: Mapping) -> dict:
+        # a Mapping never holds a key twice, so nothing merges: only zeros go
+        return {k: c for k, c in terms.items() if c}
 
     @classmethod
-    def zero(cls) -> "TPoly":
-        return cls()
+    def _wrap(cls, terms: dict):
+        """An element over terms, which must hold no zero; nothing is copied."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
-    def one(cls) -> "TPoly":
-        return cls({0: 1})
+    def _constant(cls, c):
+        """The scalar c times 1."""
+        return cls({cls.ONE_KEY: c})
+
+    def _coerce(self, x):
+        """x as an element of this ring, or None when x is no scalar of it."""
+        return self._constant(x) if isinstance(x, self.SCALARS) else None
 
     @classmethod
-    def t_pow(cls, e: int, coeff: int = 1) -> "TPoly":
-        return cls({e: coeff})
+    def zero(cls):
+        return cls._wrap({})
+
+    @classmethod
+    def one(cls):
+        return cls._constant(1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,52 +129,114 @@ class TPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
-        if isinstance(other, TPoly):
-            return self.terms == other.terms
-        return NotImplemented
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; value semantics via __eq__ only
 
-    def __neg__(self) -> "TPoly":
-        out = TPoly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
 
-    def __add__(self, other) -> "TPoly":
-        if isinstance(other, int):
-            other = TPoly({0: other})
-        if not isinstance(other, TPoly):
-            return NotImplemented
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        r = TPoly()
-        r.terms = out
-        return r
+        for k, c in other.terms.items():
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._wrap(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "TPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other) -> "TPoly":
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "TPoly":
-        if isinstance(other, int):
-            if not other:
-                return TPoly()
-            out = TPoly()
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
-        if not isinstance(other, TPoly):
-            return NotImplemented
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._mul(other)
+
+    __rmul__ = __mul__  # scalars are central
+
+    def __pow__(self, n: int):
+        if n < 0:
+            inv = None
+            if len(self.terms) == 1:
+                inv = self._invert_term(*next(iter(self.terms.items())))
+            if inv is None:
+                raise ValueError(f"negative power of a non-unit {type(self).__name__}")
+            return self._wrap(inv) ** -n
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __str__(self) -> str:
+        parts = []
+        for k, c in sorted(self.terms.items()):  # unique keys: coefficients never compared
+            negative, body = self._term_text(k, c)
+            if parts:
+                parts.append((" - " if negative else " + ") + body)
+            else:
+                parts.append(("-" if negative else "") + body)
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+def _power(name: str, e: int) -> str:
+    """name^e as text; "" when e is 0."""
+    if not e:
+        return ""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _product(*factors: str) -> str:
+    """The nonempty factors joined by '*'."""
+    return "*".join([f for f in factors if f])
+
+
+def _scaled(c: int, mono: str) -> tuple:
+    """(c < 0, the text of |c| times mono); an empty mono stands for 1."""
+    mag = abs(c)
+    if not mono:
+        return c < 0, str(mag)
+    return c < 0, mono if mag == 1 else f"{mag}*{mono}"
+
+
+class TPoly(SparseRing):
+    """A Laurent polynomial in t with integer coefficients.
+
+    >>> TPoly({2: 1, -2: 1}) * TPoly({2: 1, -2: 1})
+    TPoly('t^-4 + 2 + t^4')
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def t_pow(cls, e: int, coeff: int = 1) -> "TPoly":
+        return cls({e: coeff})
+
+    def _mul(self, other: "TPoly") -> "TPoly":
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -171,33 +249,19 @@ class TPoly:
                     acc[e] = v
                 else:
                     del acc[e]
-        out = TPoly()
-        out.terms = acc
-        return out
+        return self._wrap(acc)
 
-    __rmul__ = __mul__
+    @staticmethod
+    def _invert_term(e: int, c: int):
+        return {-e: c} if c in (1, -1) else None
 
-    def __pow__(self, n: int) -> "TPoly":
-        if n < 0:
-            if len(self.terms) == 1:
-                ((e, c),) = self.terms.items()
-                if c in (1, -1):
-                    return TPoly({e * n: 1 if (c == 1 or n % 2 == 0) else -1})
-            raise ValueError("negative power of a non-unit Laurent polynomial")
-        result = TPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    @staticmethod
+    def _term_text(e: int, c: int) -> tuple:
+        return _scaled(c, _power("t", e))
 
     def shift(self, e: int) -> "TPoly":
         """Multiply by t^e."""
-        out = TPoly()
-        out.terms = {k + e: c for k, c in self.terms.items()}
-        return out
+        return self._wrap({k + e: c for k, c in self.terms.items()})
 
     def lowest_degree(self) -> int:
         if not self.terms:
@@ -210,34 +274,11 @@ class TPoly:
         return max(self.terms)
 
     def divide_exact(self, den: "TPoly") -> "TPoly":
-        out = TPoly()
-        out.terms = _divide_univariate(self.terms, den.terms)
-        return out
+        return self._wrap(_divide_univariate(self.terms, den.terms))
 
     def at_minus_one(self) -> int:
         """Evaluate at t = -1."""
         return sum(c if e % 2 == 0 else -c for e, c in self.terms.items())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                mono = "t" if e == 1 else f"t^{e}"
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TPoly('{self}')"
 
     def to_json(self) -> list:
         return [[self.terms[e], e] for e in sorted(self.terms)]
@@ -247,29 +288,12 @@ class TPoly:
         return cls({int(e): int(c) for c, e in data})
 
 
-class MLPoly:
+class MLPoly(SparseRing):
     """A commutative Laurent polynomial in M and L with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, int] | None = None):
-        t = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    key = (int(k[0]), int(k[1]))
-                    t[key] = t.get(key, 0) + c
-                    if not t[key]:
-                        del t[key]
-        self.terms = t
-
-    @classmethod
-    def zero(cls) -> "MLPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MLPoly":
-        return cls({(0, 0): 1})
+    ONE_KEY = (0, 0)
 
     @classmethod
     def monomial(cls, m: int, l: int, coeff: int = 1) -> "MLPoly":
@@ -283,61 +307,7 @@ class MLPoly:
     def L_pow(cls, l: int) -> "MLPoly":
         return cls({(0, l): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
-        if isinstance(other, MLPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __neg__(self) -> "MLPoly":
-        out = MLPoly()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "MLPoly":
-        if isinstance(other, int):
-            other = MLPoly({(0, 0): other})
-        if not isinstance(other, MLPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        r = MLPoly()
-        r.terms = out
-        return r
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "MLPoly":
-        if isinstance(other, int):
-            other = MLPoly({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MLPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "MLPoly":
-        if isinstance(other, int):
-            if not other:
-                return MLPoly()
-            out = MLPoly()
-            out.terms = {k: c * other for k, c in self.terms.items()}
-            return out
-        if not isinstance(other, MLPoly):
-            return NotImplemented
+    def _mul(self, other: "MLPoly") -> "MLPoly":
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -350,27 +320,15 @@ class MLPoly:
                     acc[k] = v
                 else:
                     del acc[k]
-        out = MLPoly()
-        out.terms = acc
-        return out
+        return self._wrap(acc)
 
-    __rmul__ = __mul__
+    @staticmethod
+    def _invert_term(key: tuple, c: int):
+        return {(-key[0], -key[1]): c} if c in (1, -1) else None
 
-    def __pow__(self, n: int) -> "MLPoly":
-        if n < 0:
-            if len(self.terms) == 1:
-                (m, l), c = next(iter(self.terms.items()))
-                if c in (1, -1):
-                    return MLPoly({(m * n, l * n): 1 if (c == 1 or n % 2 == 0) else -1})
-            raise ValueError("negative power of a non-unit MLPoly")
-        result = MLPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    @staticmethod
+    def _term_text(key: tuple, c: int) -> tuple:
+        return _scaled(c, _product(_power("M", key[0]), _power("L", key[1])))
 
     def eval_units(self, m_val: int = 1, l_val: int = 1) -> int:
         """Evaluate at M, L in {1, -1} (the only unit integer points of the Laurent ring)."""
@@ -436,35 +394,6 @@ class MLPoly:
                     rem.pop(dl + e, None)
             rem = {l: ms for l, ms in rem.items() if ms}
         return MLPoly(quot_terms)
-
-    @staticmethod
-    def _fmt_term(m: int, l: int, c: int, first: bool) -> str:
-        mag = abs(c)
-        pieces = []
-        if m:
-            pieces.append("M" if m == 1 else f"M^{m}")
-        if l:
-            pieces.append("L" if l == 1 else f"L^{l}")
-        if not pieces:
-            body = str(mag)
-        else:
-            body = "*".join(pieces)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        if first:
-            return ("-" if c < 0 else "") + body
-        return (" - " if c < 0 else " + ") + body
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, l) in sorted(self.terms):
-            parts.append(self._fmt_term(m, l, self.terms[(m, l)], not parts))
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MLPoly('{self}')"
 
     def to_json(self) -> list:
         return [[self.terms[k], [k[0], k[1]]] for k in sorted(self.terms)]

@@ -175,7 +175,7 @@ def build_P(a: int, b: int) -> NamedOperator:
         - lam_diff * t(-4 * a * b) * _lm_pair(2, m)
         + t(2 * a * b) * _lm_pair(1, m)
         - TPoly({2 * a * b: 1, -2 * a * b: 1}) * (QTElem.L_pow(1) + QTElem.L_pow(-1))
-        + QTElem.from_tpoly(lam_diff * TPoly({4 * a * b: 1, -4 * a * b: 1}))
+        + lam_diff * TPoly({4 * a * b: 1, -4 * a * b: 1})
     )
     return NamedOperator("P", a, b, elem)
 
@@ -191,7 +191,7 @@ def build_Q(a: int, b: int) -> NamedOperator:
         - lam_sum * t(-4 * a * b) * _lm_pair(2, m)
         + t(-2 * a * b) * _lm_pair(1, m)
         - TPoly({2 * a * b: 1, -2 * a * b: 1}) * (QTElem.L_pow(1) + QTElem.L_pow(-1))
-        + QTElem.from_tpoly(lam_sum * 2)
+        + lam_sum * 2
     )
     return NamedOperator("Q", a, b, elem)
 
@@ -212,30 +212,31 @@ def build_R(b: int) -> NamedOperator:
         + TPoly({2 * b: 1, -2 * b: 1}) * (QTElem.L_pow(1) + QTElem.L_pow(-1))
         - four * t(-2 * b) * _lm_pair(1, m)
         + (QTElem.M_pow(m) + QTElem.M_pow(-m))
-        - QTElem.from_tpoly(four * 2)
+        - four * 2
     )
     return NamedOperator("R", 2, b, elem)
 
 
 def build_named(name: str, K: TorusKnot) -> NamedOperator:
-    """Construct the named operator applicable to K, or raise BadParams."""
+    """Construct the named operator for K. An unknown name raises BadParams;
+    a knot of the other family raises WrongCase (G and R need a = 2; F, P, Q
+    and PQ need a > 2)."""
+    if name not in ("F", "G", "P", "Q", "PQ", "R"):
+        raise BadParams(f"unknown operator name {name!r}")
+    if (name in ("G", "R")) != (K.a == 2):
+        family = "the (2,b) family" if K.a > 2 else "knots with a > 2"
+        raise WrongCase(f"operator {name} applies to {family}, not {K}")
     if name == "F":
         return build_F(K.a, K.b)
     if name == "G":
-        return build_G(K.b) if K.a == 2 else _raise_case(name, K)
+        return build_G(K.b)
     if name == "P":
         return build_P(K.a, K.b)
     if name == "Q":
         return build_Q(K.a, K.b)
     if name == "PQ":
         return build_PQ(K.a, K.b)
-    if name == "R":
-        return build_R(K.b) if K.a == 2 else _raise_case(name, K)
-    raise BadParams(f"unknown operator name {name!r}")
-
-
-def _raise_case(name: str, K: TorusKnot):
-    raise WrongCase(f"operator {name} applies to the (2,b) family, not {K}")
+    return build_R(K.b)
 
 
 def verify_annihilation(op: NamedOperator, f: DiscreteSeq, n_range: tuple) -> VerifyReport:

@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .laurent import MLPoly, TPoly
+from .laurent import MLPoly, SparseRing, TPoly, _power, _product, _scaled
 
 
 class OperatorSyntaxError(ValueError):
@@ -42,39 +42,23 @@ class OperatorSyntaxError(ValueError):
         self.position = position
 
 
-class QTElem:
+class QTElem(SparseRing):
     """A quantum torus element in M-before-L normal form.
 
-    ``terms`` maps (k, l) to the nonzero TPoly coefficient of M^k L^l.
+    ``terms`` maps (k, l) to the nonzero TPoly coefficient of M^k L^l; the
+    constructor takes integer coefficients too. Integers and TPolys are the
+    scalars (the center's constants).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, TPoly] | None = None):
-        t = {}
-        if terms:
-            for key, c in terms.items():
-                if isinstance(c, int):
-                    c = TPoly({0: c})
-                if not c.is_zero():
-                    k = (int(key[0]), int(key[1]))
-                    if k in t:
-                        s = t[k] + c
-                        if s.is_zero():
-                            del t[k]
-                        else:
-                            t[k] = s
-                    else:
-                        t[k] = c
-        self.terms = t
+    ONE_KEY = (0, 0)
+    SCALARS = (int, TPoly)
 
-    @classmethod
-    def zero(cls) -> "QTElem":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QTElem":
-        return cls({(0, 0): TPoly.one()})
+    @staticmethod
+    def _pruned(terms: Mapping) -> dict:
+        # integer coefficients become constant TPolys
+        return {k: TPoly({0: c}) if isinstance(c, int) else c for k, c in terms.items() if c}
 
     @classmethod
     def t_pow(cls, e: int, coeff: int = 1) -> "QTElem":
@@ -92,62 +76,7 @@ class QTElem:
     def monomial(cls, coeff: "TPoly | int", k: int, l: int) -> "QTElem":
         return cls({(k, l): coeff})
 
-    @classmethod
-    def from_tpoly(cls, c: TPoly) -> "QTElem":
-        return cls({(0, 0): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QTElem):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __neg__(self) -> "QTElem":
-        out = QTElem()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "QTElem":
-        if isinstance(other, (int, TPoly)):
-            other = QTElem({(0, 0): other})
-        if not isinstance(other, QTElem):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
-        r = QTElem()
-        r.terms = out
-        return r
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QTElem":
-        if isinstance(other, (int, TPoly)):
-            other = QTElem({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QTElem":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QTElem":
-        if isinstance(other, (int, TPoly)):
-            other = QTElem({(0, 0): other})
-        if not isinstance(other, QTElem):
-            return NotImplemented
+    def _mul(self, other: "QTElem") -> "QTElem":
         acc: dict = {}
         for (k1, l1), c1 in self.terms.items():
             for (k2, l2), c2 in other.terms.items():
@@ -162,42 +91,30 @@ class QTElem:
                         acc[key] = s
                 else:
                     acc[key] = c
-        out = QTElem()
-        out.terms = acc
-        return out
+        return self._wrap(acc)
 
-    def __rmul__(self, other) -> "QTElem":
-        if isinstance(other, (int, TPoly)):
-            return QTElem({(0, 0): other}) * self
-        return NotImplemented
+    @staticmethod
+    def _invert_term(key: tuple, c: TPoly):
+        if len(c.terms) != 1:
+            return None
+        ((e, u),) = c.terms.items()
+        if u not in (1, -1):
+            return None
+        # the inverse of u t^e M^k L^l is u t^{2kl - e} M^{-k} L^{-l}
+        k, l = key
+        return {(-k, -l): TPoly({2 * k * l - e: u})}
 
-    def __pow__(self, n: int) -> "QTElem":
-        if n < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial quantum torus element")
-            ((k, l), c) = next(iter(self.terms.items()))
-            if len(c.terms) != 1:
-                raise ValueError("negative power of a non-monomial quantum torus element")
-            ((e, cv),) = c.terms.items()
-            if cv not in (1, -1):
-                raise ValueError("negative power needs a unit coefficient")
-            # inverse of c t^e M^k L^l is c^{-1} t^{2kl - e} M^{-k} L^{-l}
-            inv = QTElem({(-k, -l): TPoly({2 * k * l - e: cv})})
-            return inv ** (-n)
-        result = QTElem.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    @staticmethod
+    def _term_text(key: tuple, c: TPoly) -> tuple:
+        m, l = _power("M", key[0]), _power("L", key[1])
+        if len(c.terms) == 1:
+            ((e, u),) = c.terms.items()
+            return _scaled(u, _product(_power("t", e), m, l))
+        return False, _product(f"({c})", m, l)
 
     def sigma(self) -> "QTElem":
         """The involution sending a(t) M^k L^l to a(t) M^{-k} L^{-l} termwise."""
-        out = QTElem()
-        out.terms = {(-k, -l): c for (k, l), c in self.terms.items()}
-        return out
+        return self._wrap({(-k, -l): c for (k, l), c in self.terms.items()})
 
     def epsilon(self) -> MLPoly:
         """Reduce t = -1, landing in the commutative (M, L) Laurent ring."""
@@ -252,52 +169,10 @@ class QTElem:
             gap = stride // step or 1
             acc[off : off + gap * (len(arr) - 1) + 1 : gap] += c * arr.astype(dtype, copy=False)
         nz = np.flatnonzero(acc)
-        out = TPoly()
-        out.terms = dict(zip((nz * step + base).tolist(), acc[nz].tolist()))
-        return out
+        return TPoly._wrap(dict(zip((nz * step + base).tolist(), acc[nz].tolist())))
 
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (k, l) in sorted(self.terms):
-            c = self.terms[(k, l)]
-            mono = []
-            if k:
-                mono.append("M" if k == 1 else f"M^{k}")
-            if l:
-                mono.append("L" if l == 1 else f"L^{l}")
-            monostr = "*".join(mono)
-            if len(c.terms) == 1:
-                ((e, cv),) = c.terms.items()
-                mag = abs(cv)
-                pieces = []
-                if e:
-                    pieces.append("t" if e == 1 else f"t^{e}")
-                if mono:
-                    pieces.append(monostr)
-                if not pieces:
-                    body = str(mag)
-                else:
-                    body = "*".join(pieces)
-                    if mag != 1:
-                        body = f"{mag}*{body}"
-                if not parts:
-                    parts.append(("-" if cv < 0 else "") + body)
-                else:
-                    parts.append((" - " if cv < 0 else " + ") + body)
-            else:
-                body = f"({c})"
-                if mono:
-                    body += "*" + monostr
-                parts.append(body if not parts else " + " + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QTElem('{self}')"
 
 
 #: the int64 accumulator is used only below this coefficient bound

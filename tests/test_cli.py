@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import torusjones
 from torusjones import cli, operators
 from torusjones.jones import BadParams
 from torusjones.laurent import NotDivisible
@@ -13,6 +17,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def start_cli(*argv):
+    """The CLI as a child process with piped stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(torusjones.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "torusjones.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestJonesCommand:
@@ -71,6 +87,9 @@ class TestVerifyCommand:
     def test_wrong_family_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "G", "-a", "3", "-b", "4", "--n", "1..3")
         assert code == 2
+        code, _, err = run(capsys, "reduce", "PQ", "-a", "2", "-b", "3")
+        assert code == 2
+        assert err == "error: operator PQ applies to knots with a > 2, not T(2,3)\n"
 
     def test_default_range_shifts_for_R(self, capsys):
         code, out, _ = run(capsys, "verify", "R", "-a", "2", "-b", "3", "--json")
@@ -176,6 +195,15 @@ class TestWorkers:
         assert sharded == run(capsys, *argv)
         assert json.loads(sharded[1])["witness_n"] == 5
 
+    def test_process_pool_output_matches_suite_digest(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "suite_expected.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        proc = start_cli(*spec["argv"], "--workers", "2")
+        out, err = proc.communicate(timeout=300)
+        assert (proc.returncode, err) == (0, b"")
+        assert hashlib.sha256(out).hexdigest() == spec["stdout_sha256"]
+
 
 class TestExitCodes:
     def test_non_integer_color_is_configuration_error(self, capsys):
@@ -193,6 +221,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal error:")
         assert "Traceback" in err and "NotDivisible: remainder left over" in err
+
+    def test_reader_closing_stdout_exits_141_quietly(self):
+        proc = start_cli("jones", "-a", "5", "-b", "7", "-n", "1..40")
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+        assert err == b""
 
 
 class TestReduceCommand:

@@ -11,6 +11,12 @@ from torusjones.laurent import (
     lambda_poly,
     quantum_integer,
 )
+from torusjones.qtorus import QTElem, parse
+
+
+def ring_elements():
+    """One nonconstant element of each ring built on the shared sparse base."""
+    return [TPoly({1: 1, -2: 3}), MLPoly({(1, 0): 1, (0, -1): 3}), parse("M + 3*t^-2*L^-1")]
 
 
 def rand_tpoly(rng, nterms=6, span=8, coeff=9):
@@ -46,11 +52,40 @@ class TestTPolyBasics:
         x = TPoly({3: 5}) + TPoly({3: -5})
         assert x.is_zero()
         assert x.terms == {}
+        for zero in (
+            TPoly({1: 0, 2: 0}),
+            MLPoly({(1, 2): 5}) - MLPoly({(1, 2): 5}),
+            MLPoly({(1, 2): 0}),
+            parse("t*M*L") - parse("L*M") * parse("t^-1"),
+            QTElem({(1, 0): TPoly.zero()}),
+            QTElem({(1, 0): 0}),
+        ):
+            assert zero.terms == {} and not zero
 
     def test_int_coercion(self):
         assert TPoly({0: 3}) == 3
         assert TPoly.zero() == 0
         assert TPoly({1: 1}) != 0
+        for x in ring_elements():
+            ring = type(x)
+            assert ring.zero() == 0 and ring.one() == 1 and x != 0 and x != 1
+            assert 3 - x == -(x - 3) == ring.one() * 3 - x
+            assert x * 2 == 2 * x == x + x
+            assert x + 0 == 0 + x == x
+            assert (x * 0).terms == {} and (x - x).terms == {}
+            with pytest.raises(TypeError):
+                hash(x)
+        assert [repr(x) for x in ring_elements()] == [
+            "TPoly('3*t^-2 + t')",
+            "MLPoly('3*L^-1 + M')",
+            "QTElem('3*t^-2*L^-1 + M')",
+        ]
+        # TPoly is a scalar of the quantum torus but not of MLPoly
+        assert QTElem({(1, 0): 3}) == 3 * parse("M") == parse("M") * TPoly({0: 3})
+        assert TPoly({1: 2}) * parse("M") == parse("2*t*M") == parse("M") * TPoly({1: 2})
+        with pytest.raises(TypeError):
+            MLPoly.one() + TPoly.one()
+        assert MLPoly.one() != TPoly.one()
 
     def test_pow(self):
         t = TPoly.t_pow(1)
@@ -58,6 +93,22 @@ class TestTPolyBasics:
         assert (-t) ** -3 == TPoly({-3: -1})
         with pytest.raises(ValueError):
             (t + 1) ** -1
+        assert parse("t^-2*M^-1") ** -2 == parse("t^4*M^2")
+        assert MLPoly({(1, -2): -1}) ** -3 == MLPoly({(-3, 6): -1})
+        for x in ring_elements():
+            assert x ** 0 == 1 and x ** 1 == x and x ** 3 == x * x * x
+        non_units = (
+            TPoly({1: 2}),
+            TPoly.zero(),
+            MLPoly({(1, 0): 2}),
+            MLPoly.L_pow(1) + 1,
+            parse("2*M"),
+            parse("(t + 1)*M"),
+            parse("M + L"),
+        )
+        for x in non_units:
+            with pytest.raises(ValueError):
+                x ** -1
 
 
 class TestRingAxioms:

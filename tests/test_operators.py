@@ -14,6 +14,7 @@ from torusjones.operators import (
     build_PQ,
     build_Q,
     build_R,
+    build_named,
     matches_up_to_unit,
     minimality_kernel,
     verify_annihilation,
@@ -65,6 +66,14 @@ class TestBuilders:
             build_R(1)
         with pytest.raises(BadParams):
             build_P(4, 6)
+        with pytest.raises(BadParams):
+            build_named("S", K34)
+
+    @pytest.mark.parametrize("name", ["F", "G", "P", "Q", "PQ", "R"])
+    def test_named_on_wrong_family_is_wrong_case(self, name):
+        knot = K34 if name in ("G", "R") else K23
+        with pytest.raises(WrongCase, match=f"operator {name} applies to"):
+            build_named(name, knot)
 
 
 class TestAnnihilation:

@@ -169,6 +169,11 @@ class TestParser:
         x = parse("(t^2 - t^-2)*M^2*L + 3")
         assert x.coefficient(2, 1) == TPoly({2: 1, -2: -1})
         assert x.coefficient(0, 0) == TPoly({0: 3})
+        # integers and TPolys are constants, on either side
+        lead = TPoly({2: 1, -2: -1})
+        assert lead * parse("M^2*L") + 3 == x == 3 + parse("M^2*L") * lead
+        assert x - 3 == (t ** 2 - t ** -2) * M ** 2 * L
+        assert parse("t^2 + 3") == TPoly({2: 1, 0: 3}) and parse("3") == 3
 
     def test_power_of_parenthesized(self):
         assert parse("(M*L)^2") == QTElem({(2, 2): TPoly({2: 1})})
