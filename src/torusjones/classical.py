@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from .jones import TorusKnot
 from .laurent import DivisionByZero, MLPoly, NotDivisible
-from .operators import NamedOperator, VerifyReport, build_PQ, build_R, check_report
+from .operators import OPERATORS, NamedOperator, VerifyReport, build_PQ, build_R, check_report
+from .qtorus import parse
 
 
 @dataclass(frozen=True)
@@ -50,59 +51,18 @@ def divides(d: MLPoly, x: MLPoly):
         return False, None
 
 
-def _epsilon_rhs(op: NamedOperator) -> list:
-    """The expected factorized forms of epsilon(op), one MLPoly per display."""
-    a, b = op.a, op.b
-    L = MLPoly.L_pow(1)
-    Linv = MLPoly.L_pow(-1)
-    if op.name == "F":
-        cof = (
-            MLPoly.M_pow(-2 * a * b)
-            * (MLPoly.M_pow(a) - MLPoly.M_pow(-a))
-            * (MLPoly.M_pow(b) - MLPoly.M_pow(-b))
-        )
-        return [cof * a_polynomial(TorusKnot(a, b)).element]
-    if op.name == "G":
-        cof = MLPoly.M_pow(-2 * b) * (MLPoly.M_pow(2) - MLPoly.M_pow(-2))
-        return [cof * a_polynomial(TorusKnot(2, b)).element]
-    if op.name == "PQ":
-        sq1 = (L + Linv - 2) ** 2
-        sq2 = (
-            L ** 2 * MLPoly.M_pow(2 * a * b) + Linv ** 2 * MLPoly.M_pow(-2 * a * b) - 2
-        ) ** 2
-        quart = MLPoly.L_pow(-2) * a_prime(TorusKnot(a, b)) ** 4
-        return [sq1 * sq2, quart]
-    if op.name == "R":
-        prod = (L + Linv - 2) * (
-            L * MLPoly.M_pow(2 * b) + Linv * MLPoly.M_pow(-2 * b) + 2
-        )
-        square = a_prime(TorusKnot(2, b)) ** 2
-        return [prod, square]
-    raise ValueError(f"no factorization display for operator {op.name!r}")
-
-
-def factorization_text(op: NamedOperator) -> str:
-    """The printed factorization of epsilon(op), in the operator grammar."""
-    a, b = op.a, op.b
-    if op.name == "F":
-        ab2 = 2 * a * b
-        return (
-            f"M^-{ab2}*(M^{a}-M^-{a})*(M^{b}-M^-{b})"
-            f" * ((L-1)*(L^2*M^{ab2}-1))"
-        )
-    if op.name == "G":
-        return f"M^-{2 * b}*(M^2-M^-2) * ((L-1)*(L*M^{2 * b}+1))"
-    if op.name == "PQ":
-        return f"L^-2*(L^-1*M^-{a * b}*(L-1)*(L^2*M^{2 * a * b}-1))^4"
-    if op.name == "R":
-        return f"(L^-1*M^-{b}*(L-1)*(L*M^{2 * b}+1))^2"
-    raise ValueError(f"no factorization display for operator {op.name!r}")
+def factorizations(op: NamedOperator) -> tuple:
+    """The displayed factorized forms of epsilon(op), from ``OPERATORS``."""
+    displays = OPERATORS[op.name].displays
+    if displays is None:
+        raise ValueError(f"no factorization display for operator {op.name!r}")
+    return displays(op.a, op.b)
 
 
 def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:
     """epsilon(op) must equal every displayed factorized form exactly."""
     image = op.element.epsilon()
-    diffs = (image - rhs for rhs in _epsilon_rhs(op))
+    diffs = (image - parse(text, MLPoly) for text in factorizations(op))
     mismatch = next((diff for diff in diffs if not diff.is_zero()), None)
     return check_report(f"epsilon({op.name})", op.a, op.b, mismatch)
 

@@ -4,6 +4,11 @@ search as reproducible batch commands with text or JSON-lines output.
 ``IDENTITY_TABLE`` is the one list of what ``verify`` can check: each record
 names an identity, the knot family it applies to, the first color of its
 default n-range (None for a static check with no n-range) and how to run it.
+What concerns a named operator comes from ``operators.OPERATORS``: the
+family of the annihilator rows, the operators the ``sigma`` and ``epsilon``
+checks cover, and the choices, knot and printed display of ``reduce``.
+``reduce`` with an ``-a`` outside the operator's family exits 2, as
+``verify`` does.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 internal error (the traceback goes to stderr), 141 the reader closed
@@ -32,11 +37,13 @@ from .jones import (
     lowest_degree_formula,
 )
 from .operators import (
+    OPERATORS,
     KernelQuery,
     SystemTooLarge,
     VerifyReport,
     WrongCase,
     build_named,
+    in_family,
     minimality_kernel,
     verify_annihilation,
     verify_lemma_P,
@@ -62,37 +69,39 @@ class Identity:
     family: str  # "a=2", "a>2" or "any"
     first_n: int | None  # first color of the default n-range; None: static
     run: Callable
-    annihilator: bool = False  # a named operator that annihilates J
 
     @property
     def static(self) -> bool:
         return self.first_n is None
 
     def applies(self, K: TorusKnot) -> bool:
-        return self.family == "any" or (self.family == "a=2") == (K.a == 2)
+        return in_family(self.family, K)
 
     def default_range(self, full_z: bool) -> tuple:
         return (1 if full_z else self.first_n, DEFAULT_LAST_N)
 
 
-def _annihilator(name: str, family: str, first_n: int) -> Identity:
+def _annihilator(name: str, first_n: int) -> Identity:
     def run(K, n_range):
         return [verify_annihilation(build_named(name, K), jones_sequence(K), n_range)]
 
-    return Identity(name, family, first_n, run, annihilator=True)
+    return Identity(name, OPERATORS[name].family, first_n, run)
 
 
 def _epsilon_checks(K, n_range):
     return [
-        classical.check_epsilon_factorization(build_named(entry.name, K))
-        for entry in IDENTITY_TABLE
-        if entry.annihilator and entry.applies(K)
+        classical.check_epsilon_factorization(build_named(name, K))
+        for name, facts in OPERATORS.items()
+        if facts.displays is not None and in_family(facts.family, K)
     ]
 
 
 def _sigma_checks(K, n_range):
-    names = ("R",) if K.a == 2 else ("P", "Q", "PQ")
-    reports = [verify_sigma_fixed(build_named(nm, K)) for nm in names]
+    reports = [
+        verify_sigma_fixed(build_named(name, K))
+        for name, facts in OPERATORS.items()
+        if facts.sigma_fixed and in_family(facts.family, K)
+    ]
     reports.append(classical.check_a_prime_sigma(K))
     return reports
 
@@ -102,10 +111,10 @@ def _sigma_checks(K, n_range):
 IDENTITY_TABLE = (
     Identity("recurrence3", "a>2", 1, lambda K, rng: [verify_recurrence(K, "three_term", rng)]),
     Identity("recurrence2", "a=2", 1, lambda K, rng: [verify_recurrence(K, "two_term", rng)]),
-    _annihilator("F", "a>2", 1),
-    _annihilator("G", "a=2", 1),
-    _annihilator("PQ", "a>2", 4),
-    _annihilator("R", "a=2", 3),
+    _annihilator("F", 1),
+    _annihilator("G", 1),
+    _annihilator("PQ", 4),
+    _annihilator("R", 3),
     Identity("lemmaQ", "a>2", 1, lambda K, rng: [verify_lemma_Q(K, rng)]),
     Identity("lemmaP", "a>2", 1, lambda K, rng: [verify_lemma_P(K, rng)]),
     Identity("epsilon", "any", None, _epsilon_checks),
@@ -254,14 +263,14 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     name = args.operator
-    if IDENTITIES[name].family == "a=2":
-        K = TorusKnot(2, args.b)
-    else:
-        if args.a is None:
+    a = args.a
+    if a is None:
+        if OPERATORS[name].family != "a=2":
             raise BadParams(f"operator {name} needs -a")
-        K = TorusKnot(args.a, args.b)
-    op = build_named(name, K)
+        a = 2
+    op = build_named(name, TorusKnot(a, args.b))
     image = op.element.epsilon()
+    printed = classical.factorizations(op)[0]
     report = classical.check_epsilon_factorization(op)
     if args.json:
         print(
@@ -272,7 +281,7 @@ def cmd_reduce(args) -> int:
                     "b": op.b,
                     "epsilon": str(image),
                     "terms": image.to_json(),
-                    "factorization": classical.factorization_text(op),
+                    "factorization": printed,
                     "status": report.status,
                 },
                 sort_keys=True,
@@ -280,7 +289,7 @@ def cmd_reduce(args) -> int:
         )
     else:
         print(f"epsilon({op}) = {image}")
-        print(f"= {classical.factorization_text(op)}")
+        print(f"= {printed}")
         print(f"status: {report.status}")
     return 0 if report.passed else 1
 
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="print the t=-1 image and its factorization")
     p_reduce.add_argument(
-        "operator", choices=[entry.name for entry in IDENTITY_TABLE if entry.annihilator]
+        "operator", choices=[name for name, facts in OPERATORS.items() if facts.displays is not None]
     )
     p_reduce.add_argument("-a", type=int)
     p_reduce.add_argument("-b", type=int, required=True)

@@ -15,7 +15,7 @@ are immutable by convention: every operation returns a new object.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ZeroPolynomial(ValueError):
@@ -268,11 +268,6 @@ class TPoly(SparseRing):
             raise ZeroPolynomial("the zero polynomial has no lowest degree")
         return min(self.terms)
 
-    def highest_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no highest degree")
-        return max(self.terms)
-
     def divide_exact(self, den: "TPoly") -> "TPoly":
         return self._wrap(_divide_univariate(self.terms, den.terms))
 
@@ -282,10 +277,6 @@ class TPoly(SparseRing):
 
     def to_json(self) -> list:
         return [[self.terms[e], e] for e in sorted(self.terms)]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "TPoly":
-        return cls({int(e): int(c) for c, e in data})
 
 
 class MLPoly(SparseRing):
@@ -329,20 +320,6 @@ class MLPoly(SparseRing):
     @staticmethod
     def _term_text(key: tuple, c: int) -> tuple:
         return _scaled(c, _product(_power("M", key[0]), _power("L", key[1])))
-
-    def eval_units(self, m_val: int = 1, l_val: int = 1) -> int:
-        """Evaluate at M, L in {1, -1} (the only unit integer points of the Laurent ring)."""
-        if m_val not in (1, -1) or l_val not in (1, -1):
-            raise ValueError("only unit evaluations are exact for Laurent exponents")
-        total = 0
-        for (m, l), c in self.terms.items():
-            sign = 1
-            if m_val == -1 and m % 2:
-                sign = -sign
-            if l_val == -1 and l % 2:
-                sign = -sign
-            total += sign * c
-        return total
 
     def _by_l(self) -> dict:
         """Group terms as L-exponent -> {M-exponent: coeff}."""
@@ -397,10 +374,6 @@ class MLPoly(SparseRing):
 
     def to_json(self) -> list:
         return [[self.terms[k], [k[0], k[1]]] for k in sorted(self.terms)]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "MLPoly":
-        return cls({(int(k[0]), int(k[1])): int(c) for c, k in data})
 
 
 def quantum_integer(k: int) -> TPoly:

@@ -12,7 +12,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,26 +217,69 @@ def build_R(b: int) -> NamedOperator:
     return NamedOperator("R", 2, b, elem)
 
 
+def in_family(family: str, K: TorusKnot) -> bool:
+    """Whether K lies in the knot family "a=2", "a>2" or "any"."""
+    return family == "any" or (family == "a=2") == (K.a == 2)
+
+
+@dataclass(frozen=True)
+class OperatorFacts:
+    """What the paper states about one named operator.
+
+    ``build(K)`` looks its ``build_*`` up when it is called, so a wrapper
+    patched over the module attribute sees every build. ``displays(a, b)``
+    gives the factorized forms of epsilon(op) as operator-grammar text: the
+    first is the one ``reduce`` prints, and every one is checked. None for an
+    operator with no display.
+    """
+
+    family: str  # "a=2" or "a>2"
+    build: Callable
+    sigma_fixed: bool
+    displays: Callable | None = None
+
+
+#: the one table of the named operators
+OPERATORS = {
+    "F": OperatorFacts(
+        "a>2", lambda K: build_F(K.a, K.b), False,
+        lambda a, b: (
+            f"M^-{2 * a * b}*(M^{a}-M^-{a})*(M^{b}-M^-{b}) * ((L-1)*(L^2*M^{2 * a * b}-1))",
+        ),
+    ),
+    "G": OperatorFacts(
+        "a=2", lambda K: build_G(K.b), False,
+        lambda a, b: (f"M^-{2 * b}*(M^2-M^-2) * ((L-1)*(L*M^{2 * b}+1))",),
+    ),
+    "P": OperatorFacts("a>2", lambda K: build_P(K.a, K.b), True),
+    "Q": OperatorFacts("a>2", lambda K: build_Q(K.a, K.b), True),
+    "PQ": OperatorFacts(
+        "a>2", lambda K: build_PQ(K.a, K.b), True,
+        lambda a, b: (
+            f"L^-2*(L^-1*M^-{a * b}*(L-1)*(L^2*M^{2 * a * b}-1))^4",
+            f"(L+L^-1-2)^2*(L^2*M^{2 * a * b}+L^-2*M^-{2 * a * b}-2)^2",
+        ),
+    ),
+    "R": OperatorFacts(
+        "a=2", lambda K: build_R(K.b), True,
+        lambda a, b: (
+            f"(L^-1*M^-{b}*(L-1)*(L*M^{2 * b}+1))^2",
+            f"(L+L^-1-2)*(L*M^{2 * b}+L^-1*M^-{2 * b}+2)",
+        ),
+    ),
+}
+
+
 def build_named(name: str, K: TorusKnot) -> NamedOperator:
     """Construct the named operator for K. An unknown name raises BadParams;
-    a knot of the other family raises WrongCase (G and R need a = 2; F, P, Q
-    and PQ need a > 2)."""
-    if name not in ("F", "G", "P", "Q", "PQ", "R"):
+    a knot outside the operator's family in ``OPERATORS`` raises WrongCase."""
+    facts = OPERATORS.get(name)
+    if facts is None:
         raise BadParams(f"unknown operator name {name!r}")
-    if (name in ("G", "R")) != (K.a == 2):
-        family = "the (2,b) family" if K.a > 2 else "knots with a > 2"
+    if not in_family(facts.family, K):
+        family = "the (2,b) family" if facts.family == "a=2" else "knots with a > 2"
         raise WrongCase(f"operator {name} applies to {family}, not {K}")
-    if name == "F":
-        return build_F(K.a, K.b)
-    if name == "G":
-        return build_G(K.b)
-    if name == "P":
-        return build_P(K.a, K.b)
-    if name == "Q":
-        return build_Q(K.a, K.b)
-    if name == "PQ":
-        return build_PQ(K.a, K.b)
-    return build_R(K.b)
+    return facts.build(K)
 
 
 def verify_annihilation(op: NamedOperator, f: DiscreteSeq, n_range: tuple) -> VerifyReport:

@@ -268,15 +268,16 @@ class _Tokenizer:
         return sign * int(self.text[start : self.pos])
 
 
-def parse(text: str) -> QTElem:
-    """Parse the operator grammar into normal form.
+def parse(text: str, ring: type = QTElem) -> SparseRing:
+    """Parse the operator grammar into normal form in ``ring``: the quantum
+    torus, or the commutative ``MLPoly``, which has no ``t`` atom.
 
     >>> str(parse('L*M'))
     't^2*M*L'
     """
     tok = _Tokenizer(text)
 
-    def parse_expr() -> QTElem:
+    def parse_expr() -> SparseRing:
         acc = parse_term()
         while True:
             ch, _ = tok.peek()
@@ -289,7 +290,7 @@ def parse(text: str) -> QTElem:
             else:
                 return acc
 
-    def parse_term() -> QTElem:
+    def parse_term() -> SparseRing:
         acc = parse_factor()
         while True:
             ch, _ = tok.peek()
@@ -299,7 +300,7 @@ def parse(text: str) -> QTElem:
             else:
                 return acc
 
-    def parse_factor() -> QTElem:
+    def parse_factor() -> SparseRing:
         ch, p = tok.peek()
         if ch == "-":
             tok.pos += 1
@@ -312,21 +313,15 @@ def parse(text: str) -> QTElem:
             atom = atom ** e
         return atom
 
-    def parse_atom() -> QTElem:
+    def parse_atom() -> SparseRing:
         ch, p = tok.peek()
         if ch is None:
             raise OperatorSyntaxError("unexpected end of input", p)
         if ch.isdigit():
-            return QTElem({(0, 0): TPoly({0: tok.next_int()})})
-        if ch == "t":
+            return ring._constant(tok.next_int())
+        if ch in ("t", "M", "L") and hasattr(ring, f"{ch}_pow"):
             tok.pos += 1
-            return QTElem.t_pow(1)
-        if ch == "M":
-            tok.pos += 1
-            return QTElem.M_pow(1)
-        if ch == "L":
-            tok.pos += 1
-            return QTElem.L_pow(1)
+            return getattr(ring, f"{ch}_pow")(1)
         if ch == "(":
             tok.pos += 1
             inner = parse_expr()

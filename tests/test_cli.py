@@ -250,6 +250,12 @@ class TestReduceCommand:
         assert rec["status"] == "pass"
         assert rec["factorization"].endswith("^4")
 
+    def test_reduce_with_a_outside_the_family_exits_2(self, capsys):
+        for name in ("G", "R"):
+            code, out, err = run(capsys, "reduce", name, "-a", "3", "-b", "5")
+            assert (code, out) == (2, "")
+            assert err == f"error: operator {name} applies to the (2,b) family, not T(3,5)\n"
+
 
 class TestKernelCommand:
     def test_small_query(self, capsys):

@@ -252,6 +252,6 @@ class TestText:
         rng = random.Random(13)
         for _ in range(20):
             x = rand_tpoly(rng)
-            assert TPoly.from_json(x.to_json()) == x
+            assert TPoly({e: c for c, e in x.to_json()}) == x
             y = rand_mlpoly(rng)
-            assert MLPoly.from_json(y.to_json()) == y
+            assert MLPoly({tuple(e): c for c, e in y.to_json()}) == y

@@ -183,6 +183,7 @@ class TestParser:
         for _ in range(40):
             x = rand_qtelem(rng)
             assert parse(serialize(x)) == x
+            assert parse(str(x.epsilon()), MLPoly) == x.epsilon()
 
     def test_syntax_error_position(self):
         with pytest.raises(OperatorSyntaxError) as exc:
@@ -190,6 +191,9 @@ class TestParser:
         assert exc.value.position == 2
         with pytest.raises(OperatorSyntaxError):
             parse("M*")
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse("M*t", MLPoly)
+        assert exc.value.position == 2
 
 
 class TestDiscreteSeq:
