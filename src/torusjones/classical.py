@@ -4,36 +4,29 @@ divisibility in the (M, L) Laurent ring, and the exponent-negating involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .jones import TorusKnot
 from .laurent import DivisionByZero, MLPoly, NotDivisible
-from .operators import OPERATORS, NamedOperator, VerifyReport, build_PQ, build_R, check_report
+from .operators import (
+    OPERATORS,
+    NamedOperator,
+    VerifyReport,
+    a_polynomial_text,
+    build_PQ,
+    build_R,
+    check_report,
+)
 from .qtorus import parse
 
 
-@dataclass(frozen=True)
-class APoly:
-    """The A-polynomial of a torus knot, including the abelian L - 1 factor."""
-
-    knot: TorusKnot
-    element: MLPoly
-
-
-def a_polynomial(K: TorusKnot) -> APoly:
-    """(L-1)(L^2 M^{2ab} - 1) for a > 2, and (L-1)(L M^{2b} + 1) for a = 2."""
-    L = MLPoly.L_pow(1)
-    if K.a == 2:
-        elem = (L - 1) * (L * MLPoly.M_pow(2 * K.b) + 1)
-    else:
-        elem = (L - 1) * (L * L * MLPoly.M_pow(2 * K.a * K.b) - 1)
-    return APoly(K, elem)
+def a_polynomial(K: TorusKnot) -> MLPoly:
+    """The A-polynomial of K, including the abelian L - 1 factor."""
+    return parse(a_polynomial_text(K.a, K.b), MLPoly)
 
 
 def a_prime(K: TorusKnot) -> MLPoly:
     """The unit-normalized A-polynomial L^{-1} M^{-ab} A (or L^{-1} M^{-b} A)."""
     m = K.a * K.b if K.a > 2 else K.b
-    return MLPoly.monomial(-m, -1) * a_polynomial(K).element
+    return MLPoly.monomial(-m, -1) * a_polynomial(K)
 
 
 def sigma_comm(x: MLPoly) -> MLPoly:
@@ -70,15 +63,10 @@ def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:
 def check_p_membership_powers(K: TorusKnot) -> VerifyReport:
     """The power identities placing A-ideal elements inside the reduced
     recurrence ideal: epsilon(PQ) = L^{-2} A'^4 for a > 2, epsilon(R) = A'^2
-    for a = 2."""
-    ap = a_prime(K)
-    if K.a == 2:
-        lhs = build_R(K.b).element.epsilon()
-        rhs = ap ** 2
-    else:
-        lhs = build_PQ(K.a, K.b).element.epsilon()
-        rhs = MLPoly.L_pow(-2) * ap ** 4
-    return check_report("p-membership", K.a, K.b, lhs - rhs)
+    for a = 2, as the first display of PQ or R writes them."""
+    op = build_R(K.b) if K.a == 2 else build_PQ(K.a, K.b)
+    power = parse(factorizations(op)[0], MLPoly)
+    return check_report("p-membership", K.a, K.b, op.element.epsilon() - power)
 
 
 def check_a_prime_sigma(K: TorusKnot) -> VerifyReport:

@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +39,6 @@ from .operators import (
     OPERATORS,
     KernelQuery,
     SystemTooLarge,
-    VerifyReport,
     WrongCase,
     build_named,
     in_family,
@@ -149,31 +147,6 @@ def run_check(identity: str, K: TorusKnot, n_range: tuple | None) -> list:
     return entry.run(K, n_range)
 
 
-def _worker_task(args: tuple) -> list:
-    identity, a, b, lo, hi = args
-    reports = run_check(identity, TorusKnot(a, b), (lo, hi))
-    return [r.to_json() for r in reports]
-
-
-def _merge_chunks(identity: str, K: TorusKnot, full: tuple, chunk_reports: list) -> VerifyReport:
-    fails = [r for r in chunk_reports if r["status"] == "fail"]
-    if not fails:
-        return VerifyReport(identity, K.a, K.b, full[0], full[1], "pass")
-    first = min(fails, key=lambda r: r["witness_n"])
-    return VerifyReport(
-        identity, K.a, K.b, full[0], full[1], "fail",
-        first["witness_n"], first.get("residual"),
-    )
-
-
-def _split_range(rng: tuple, parts: int) -> list:
-    lo, hi = rng
-    span = hi - lo + 1
-    parts = max(1, min(parts, span))
-    size = (span + parts - 1) // parts
-    return [(lo + i * size, min(hi, lo + (i + 1) * size - 1)) for i in range(parts)]
-
-
 def cmd_jones(args) -> int:
     K = TorusKnot(args.a, args.b)
     lo, hi = parse_range(args.n)
@@ -201,9 +174,6 @@ def cmd_jones(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise BadParams(f"--workers must be at least 1, got {args.workers}")
-    workers = min(args.workers, os.cpu_count() or 1)
     if args.suite:
         knots = list(SUITE_KNOTS)
     else:
@@ -223,29 +193,7 @@ def cmd_verify(args) -> int:
             rng = None if entry.static else n_range or entry.default_range(args.full_z)
             jobs.append((entry.name, K, rng))
 
-    reports = []
-    shardable = [j for j in jobs if j[2] is not None]
-    direct = [j for j in jobs if j[2] is None]
-    if workers > 1 and shardable:
-        tasks = []
-        groups = []
-        for ident, K, rng in shardable:
-            chunks = _split_range(rng, workers)
-            groups.append((ident, K, rng, len(chunks)))
-            tasks.extend((ident, K.a, K.b, c[0], c[1]) for c in chunks)
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_worker_task, tasks))
-        pos = 0
-        for ident, K, rng, nchunks in groups:
-            chunk_reports = [r for res in results[pos : pos + nchunks] for r in res]
-            pos += nchunks
-            reports.append(_merge_chunks(ident, K, rng, chunk_reports))
-    else:
-        for ident, K, rng in shardable:
-            reports.extend(run_check(ident, K, rng))
-    for ident, K, rng in direct:
-        reports.extend(run_check(ident, K, rng))
-
+    reports = [r for ident, K, rng in jobs for r in run_check(ident, K, rng)]
     reports.sort(key=lambda r: (r.a, r.b, r.identity, r.n_from))
     failed = False
     for r in reports:
@@ -354,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", dest="n", help="range LO..HI (use --n=LO..HI for negatives)")
     p_verify.add_argument("--suite", action="store_true", help="run over the default knot set")
     p_verify.add_argument("--full-z", action="store_true", help="start annihilation sweeps at n=1 using the parity extension")
-    p_verify.add_argument(
-        "--workers", type=int, default=1, help="processes for n-range shards (at most the CPU count)"
-    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 

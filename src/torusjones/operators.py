@@ -222,6 +222,15 @@ def in_family(family: str, K: TorusKnot) -> bool:
     return family == "any" or (family == "a=2") == (K.a == 2)
 
 
+def a_polynomial_text(a: int, b: int) -> str:
+    """The A-polynomial of T(a, b), abelian factor L - 1 included, as
+    operator-grammar text: (L-1)(L M^{2b} + 1) for a = 2 and
+    (L-1)(L^2 M^{2ab} - 1) for a > 2."""
+    if a == 2:
+        return f"(L-1)*(L*M^{2 * b}+1)"
+    return f"(L-1)*(L^2*M^{2 * a * b}-1)"
+
+
 @dataclass(frozen=True)
 class OperatorFacts:
     """What the paper states about one named operator.
@@ -244,26 +253,26 @@ OPERATORS = {
     "F": OperatorFacts(
         "a>2", lambda K: build_F(K.a, K.b), False,
         lambda a, b: (
-            f"M^-{2 * a * b}*(M^{a}-M^-{a})*(M^{b}-M^-{b}) * ((L-1)*(L^2*M^{2 * a * b}-1))",
+            f"M^-{2 * a * b}*(M^{a}-M^-{a})*(M^{b}-M^-{b}) * ({a_polynomial_text(a, b)})",
         ),
     ),
     "G": OperatorFacts(
         "a=2", lambda K: build_G(K.b), False,
-        lambda a, b: (f"M^-{2 * b}*(M^2-M^-2) * ((L-1)*(L*M^{2 * b}+1))",),
+        lambda a, b: (f"M^-{2 * b}*(M^2-M^-2) * ({a_polynomial_text(a, b)})",),
     ),
     "P": OperatorFacts("a>2", lambda K: build_P(K.a, K.b), True),
     "Q": OperatorFacts("a>2", lambda K: build_Q(K.a, K.b), True),
     "PQ": OperatorFacts(
         "a>2", lambda K: build_PQ(K.a, K.b), True,
         lambda a, b: (
-            f"L^-2*(L^-1*M^-{a * b}*(L-1)*(L^2*M^{2 * a * b}-1))^4",
+            f"L^-2*(L^-1*M^-{a * b}*{a_polynomial_text(a, b)})^4",
             f"(L+L^-1-2)^2*(L^2*M^{2 * a * b}+L^-2*M^-{2 * a * b}-2)^2",
         ),
     ),
     "R": OperatorFacts(
         "a=2", lambda K: build_R(K.b), True,
         lambda a, b: (
-            f"(L^-1*M^-{b}*(L-1)*(L*M^{2 * b}+1))^2",
+            f"(L^-1*M^-{b}*{a_polynomial_text(a, b)})^2",
             f"(L+L^-1-2)*(L*M^{2 * b}+L^-1*M^-{2 * b}+2)",
         ),
     ),

@@ -337,8 +337,3 @@ def parse(text: str, ring: type = QTElem) -> SparseRing:
     if ch is not None:
         raise OperatorSyntaxError(f"trailing input {ch!r}", p)
     return result
-
-
-def serialize(x: QTElem) -> str:
-    """Canonical text: normal-form terms ordered by (k, l)."""
-    return str(x)

@@ -119,87 +119,11 @@ class TestVerifyCommand:
         assert code == 1
         assert "fail" in out
 
-    def test_workers_shard_and_merge(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..8",
-            "--workers", "2", "--json",
-        )
-        assert code == 0
-        rec = json.loads(out.strip())
-        assert rec["status"] == "pass"
-        assert (rec["n_from"], rec["n_to"]) == (1, 8)
-
-
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-class TestWorkers:
-    @pytest.fixture
-    def executor(self, monkeypatch):
-        RecordingExecutor.sizes = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return RecordingExecutor
-
-    def test_clamped_to_cpu_count(self, capsys, executor):
-        code, out, _ = run(
-            capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..20", "--workers", "64"
-        )
-        assert code == 0
-        assert executor.sizes == [4]
-        assert out == "G a=2 b=3 n=1..20: pass\n"
-
-    def test_pool_no_larger_than_task_count(self, capsys, executor):
-        code, _, _ = run(
-            capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..3", "--workers", "4"
-        )
-        assert code == 0
-        assert executor.sizes == [3]
-
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_nonpositive_rejected(self, capsys, executor, n):
-        code, _, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", f"--workers={n}")
-        assert code == 2
-        assert "--workers" in err
-        assert executor.sizes == []
-
-    def test_merge_keeps_first_failure(self, capsys, executor, monkeypatch):
-        # every shard from n = 5 on fails at its own first color
-        def fake(identity, K, n_range):
-            lo, hi = n_range
-            if hi < 5:
-                return [VerifyReport(identity, K.a, K.b, lo, hi, "pass")]
-            witness = max(lo, 5)
-            return [VerifyReport(identity, K.a, K.b, lo, hi, "fail", witness, f"r{witness}")]
-
-        monkeypatch.setattr(cli, "run_check", fake)
-        argv = ("verify", "G", "-a", "2", "-b", "3", "--n", "1..8", "--json")
-        sharded = run(capsys, *argv, "--workers", "4")
-        assert executor.sizes == [4]
-        assert sharded == run(capsys, *argv)
-        assert json.loads(sharded[1])["witness_n"] == 5
-
-    def test_process_pool_output_matches_suite_digest(self):
+    def test_child_process_output_matches_suite_digest(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "perfbench", "suite_expected.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
-        proc = start_cli(*spec["argv"], "--workers", "2")
+        proc = start_cli(*spec["argv"])
         out, err = proc.communicate(timeout=300)
         assert (proc.returncode, err) == (0, b"")
         assert hashlib.sha256(out).hexdigest() == spec["stdout_sha256"]
@@ -210,6 +134,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "abc")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_workers_is_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "G", "-a", "2", "-b", "3", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
         def broken(identity, K, n_range):
