@@ -251,7 +251,6 @@ def cmd_kernel(args) -> int:
         t_window=parse_range(args.t_window),
         n_range=parse_range(args.n_range),
         method=args.method,
-        cap=args.cap,
     )
     result = minimality_kernel(query)
     if args.json:
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--t-window", required=True, help="LO..HI (use --t-window=LO..HI)")
     p_kernel.add_argument("--n-range", required=True, help="LO..HI")
     p_kernel.add_argument("--method", choices=("auto", "exact", "modular"), default="auto")
-    p_kernel.add_argument("--cap", type=int, default=None, help="unknown-count cap override")
     p_kernel.add_argument("--json", action="store_true")
     p_kernel.set_defaults(fn=cmd_kernel)
 

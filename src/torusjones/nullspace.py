@@ -98,7 +98,11 @@ class ExactEliminator:
         return self.rank - before
 
     def nullspace(self) -> list:
-        """Primitive integer kernel basis vectors (one per free column)."""
+        """Primitive integer kernel basis vectors, the standard basis: one per
+        free column f, in increasing f, positive at f and zero at every other
+        free column and at every column after f (back-substitution into pivot
+        rows that start at their pivot column). ``minimality_kernel`` relies
+        on this form."""
         pcols = sorted(self.pivots)
         pivset = set(pcols)
         free = [c for c in range(self.ncols) if c not in pivset]
@@ -240,7 +244,12 @@ class ModularRREF:
         return n_new
 
     def nullspace_mod_p(self) -> list:
-        """Kernel basis mod p as dicts column -> residue, one per free column."""
+        """Kernel basis mod p as dicts column -> residue, the standard basis
+        of ``ExactEliminator.nullspace``: one per free column f, in increasing
+        f, 1 at f and zero at every other free column and at every column
+        after f (each pivot row is zero before its pivot). ``reconstruct_vector``
+        maps 0 to 0, so a lift keeps this form, which ``minimality_kernel``
+        relies on."""
         r = self.rank
         pivs = self._pivcols[:r]
         pivset = set(int(c) for c in pivs)

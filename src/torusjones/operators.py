@@ -22,7 +22,6 @@ from .nullspace import (
     PRIMES,
     ExactEliminator,
     ModularRREF,
-    primitive,
     reconstruct_vector,
 )
 from .qtorus import DiscreteSeq, QTElem, _dense, acted
@@ -33,7 +32,7 @@ class WrongCase(ValueError):
 
 
 class SystemTooLarge(ValueError):
-    """The kernel query exceeds the configured unknown-count cap."""
+    """The kernel query has more than ``MAX_KERNEL_UNKNOWNS`` unknowns."""
 
     def __init__(self, unknowns: int, cap: int):
         super().__init__(f"kernel system has {unknowns} unknowns, exceeding the cap of {cap}")
@@ -46,7 +45,8 @@ class Underdetermined(BadParams):
     ``MAX_CANDIDATE_NULLITY``."""
 
 
-DEFAULT_KERNEL_CAP = 20_000
+#: the unknown-count cap of a kernel query
+MAX_KERNEL_UNKNOWNS = 20_000
 
 #: kernel candidates are read off and verified only at this nullity or below
 MAX_CANDIDATE_NULLITY = 64
@@ -367,53 +367,19 @@ def verify_pq_consistency(K: TorusKnot, n_range: tuple) -> VerifyReport:
 # --- bounded minimality kernel search ---------------------------------------
 
 
-def _parity_plan(evens: list, odds: list) -> tuple:
-    """(solved, derived): the parity class solved by elimination, and None or
-    (slots, shift) for the other class with the unit t-shift that embeds it
-    into the solved class's window. For an interval window the larger class
-    (evens on a tie) always admits one."""
-    if not odds or not evens:
-        return evens or odds, None
-    first, second = (evens, odds) if len(evens) >= len(odds) else (odds, evens)
-    shift = -1 if second[0] - 1 >= first[0] and second[-1] - 1 <= first[-1] else 1
-    return first, (second, shift)
-
-
-def _derive_parity_kernel(basis_a, slots_a, slots_b, shift, stride):
-    """Kernel of a parity block from the solved block it embeds into.
-
-    A candidate over slots_b corresponds, via multiplication by t^shift, to a
-    candidate over slots_a supported inside the shifted window; annihilation
-    is preserved both ways by the central unit t.
-    """
-    if not basis_a:
-        return []
-    allowed = {beta + shift for beta in slots_b}
-    index_b = {alpha: i for i, alpha in enumerate(slots_b)}
-    elim = ExactEliminator(len(basis_a))
-    conditions: dict = {}
-    for i, vec in enumerate(basis_a):
-        for col, val in vec.items():
-            if slots_a[col // stride] not in allowed:
-                conditions.setdefault(col, {})[i] = val
-    for row in conditions.values():
-        elim.add_row(row)
-    out = []
-    for combo in elim.nullspace():
-        acc: dict = {}
-        for i, ci in combo.items():
-            for col, val in basis_a[i].items():
-                v = acc.get(col, 0) + ci * val
-                if v:
-                    acc[col] = v
-                else:
-                    acc.pop(col, None)
-        vec_b = {}
-        for col, val in acc.items():
-            ai, rem = divmod(col, stride)
-            vec_b[index_b[slots_a[ai] - shift] * stride + rem] = val
-        out.append(primitive(vec_b))
-    return out
+def _parity_plan(lo: int, hi: int) -> tuple:
+    """(solved, derived): the t-exponent slots of the window lo..hi in the
+    parity class solved by elimination (the larger one, evens on a tie) and
+    in the other class. Moved by a unit t-shift, the derived slots are the
+    first len(derived) solved slots, so a derived candidate has the column
+    indices of a solved one supported on those slots."""
+    evens = [alpha for alpha in range(lo, hi + 1) if alpha % 2 == 0]
+    odds = [alpha for alpha in range(lo, hi + 1) if alpha % 2]
+    solved, derived = (evens, odds) if len(evens) >= len(odds) else (odds, evens)
+    shift = solved[0] - derived[0] if derived else 0
+    if [beta + shift for beta in derived] != solved[: len(derived)]:
+        raise AssertionError(f"parity classes of {lo}..{hi} are not a shifted prefix")
+    return solved, derived
 
 
 @dataclass(frozen=True)
@@ -431,7 +397,6 @@ class KernelQuery:
     t_window: tuple
     n_range: tuple
     method: str = "auto"  # auto | exact | modular
-    cap: int | None = None
 
 
 @dataclass
@@ -602,9 +567,8 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     if nlo > nhi:
         raise BadParams("empty n-range")
     unknowns = (hi - lo + 1) * (query.m_degree + 1) * (query.l_degree + 1)
-    cap = DEFAULT_KERNEL_CAP if query.cap is None else query.cap
-    if unknowns > cap:
-        raise SystemTooLarge(unknowns, cap)
+    if unknowns > MAX_KERNEL_UNKNOWNS:
+        raise SystemTooLarge(unknowns, MAX_KERNEL_UNKNOWNS)
     method = query.method
     if method == "auto":
         method = "exact" if unknowns <= 2000 else "modular"
@@ -615,26 +579,25 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     m_degree, l_degree = query.m_degree, query.l_degree
     stride = (m_degree + 1) * (l_degree + 1)
     # The colored Jones support sits on even t-exponents, so the system is
-    # block diagonal in the parity of alpha. One parity class is solved by
-    # elimination; the other embeds into it by a t-shift (for an interval
-    # window some unit shift always lands the smaller class inside the
-    # larger), so its kernel is derived exactly instead of re-eliminated.
-    evens = [alpha for alpha in range(lo, hi + 1) if alpha % 2 == 0]
-    odds = [alpha for alpha in range(lo, hi + 1) if alpha % 2]
-    solved, derived = _parity_plan(evens, odds)
+    # block diagonal in the parity of alpha. Only the solved class is
+    # eliminated: the unit t-shift of ``_parity_plan`` maps the derived
+    # class's kernel onto the solved kernel vectors supported below column
+    # `cut`. Both engines return the standard basis (see
+    # ``ExactEliminator.nullspace``), so the vectors with max < cut span that
+    # subspace, and read over the derived slots they are its standard basis.
+    solved, derived = _parity_plan(lo, hi)
     blocks = _color_blocks(jser, solved, m_degree, l_degree, query.n_range)
     rank, vecs, rows_total, prime = _solve_block(
         jser, solved, blocks, m_degree, l_degree, query.n_range, method
     )
+    cut = len(derived) * stride
+    derived_vecs = [v for v in vecs if max(v) < cut]
+    rank += cut - len(derived_vecs)
     basis = [_vector_to_qtelem(v, solved, m_degree, l_degree) for v in vecs]
-    if derived is not None:
-        slots, shift = derived
-        derived_vecs = _derive_parity_kernel(vecs, solved, slots, shift, stride)
-        rank += len(slots) * stride - len(derived_vecs)
-        derived_basis = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in derived_vecs]
-        if not all(_verify_candidate(e, jser, query.n_range) for e in derived_basis):
-            raise AssertionError("derived parity kernel vector failed verification")
-        basis += derived_basis
+    derived_basis = [_vector_to_qtelem(v, derived, m_degree, l_degree) for v in derived_vecs]
+    if not all(_verify_candidate(e, jser, query.n_range) for e in derived_basis):
+        raise AssertionError("derived parity kernel vector failed verification")
+    basis += derived_basis
     # the recommendation is about the queried range, not the (possibly
     # early-stopped) rows actually processed
     potential_rows = sum(block.width for block in blocks if block is not None)

@@ -135,11 +135,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_workers_is_unknown_argument(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "G", "-a", "2", "-b", "3", "--workers", "2"], "--workers 2"),
+            (
+                ["kernel", "-a", "2", "-b", "3", "--L-deg", "1", "--M-deg", "2",
+                 "--t-window=-2..2", "--n-range", "1..3", "--cap", "5"],
+                "--cap 5",
+            ),
+        ],
+        ids=["workers", "cap"],
+    )
+    def test_workers_is_unknown_argument(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "G", "-a", "2", "-b", "3", "--workers", "2"])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
         def broken(identity, K, n_range):

@@ -1,9 +1,12 @@
-"""The kernel search's constraint blocks and its two engines.
+"""The kernel search's constraint blocks, its two engines and its parity
+classes.
 
 The block builder is checked column by column against ``QTElem.apply``, the
 action it encodes; the exact and modular engines are checked against each
-other on random small queries."""
+other on random small queries; the kernel of the parity class read off the
+solved basis is checked against an elimination of that class's own blocks."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,9 @@ from torusjones.operators import (
     Underdetermined,
     _color_blocks,
     _color_matrix,
+    _parity_plan,
+    _solve_block,
+    _vector_to_qtelem,
     minimality_kernel,
 )
 from torusjones.qtorus import DiscreteSeq, QTElem
@@ -91,3 +97,58 @@ def test_exact_and_modular_kernels_agree(query):
         return
     assert (modular.rank, modular.dimension) == (exact.rank, exact.dimension)
     assert [str(e) for e in modular.basis] == [str(e) for e in exact.basis]
+
+
+@pytest.mark.parametrize(
+    "window, solved, derived",
+    [
+        ((0, 4), [0, 2, 4], [1, 3]),
+        ((-3, 3), [-3, -1, 1, 3], [-2, 0, 2]),
+        ((0, 3), [0, 2], [1, 3]),
+        ((-1, 2), [0, 2], [-1, 1]),
+        ((5, 5), [5], []),
+    ],
+)
+def test_parity_plan(window, solved, derived):
+    # the larger class is solved, evens on a tie
+    assert _parity_plan(*window) == (solved, derived)
+
+
+def t_parity(elem: QTElem) -> int:
+    """The parity of the t-exponents of a kernel basis operator (one parity
+    class holds them all)."""
+    return min(next(iter(elem.terms.values())).terms) % 2
+
+
+@pytest.mark.filterwarnings("ignore:kernel system is underdetermined")
+def test_derived_class_matches_its_own_elimination(jcache):
+    """The derived parity class's basis, read off the solved one, equals the
+    exact engine's basis of the derived slots' own blocks, in order."""
+    rng = random.Random(12)
+    nonempty = {"exact": 0, "modular": 0}  # cases compared with a nonempty derived basis
+    for case in range(160):
+        knot = TorusKnot(*rng.choice([(2, 3), (2, 5), (3, 4)]))
+        l_degree, m_degree = rng.randint(0, 2), rng.randint(0, 6)
+        # every (lo mod 2, hi mod 2) case in turn, with at least two slots
+        lo = 2 * rng.randint(-20, 5) + case % 2
+        hi = lo + 1 + 2 * rng.randint(0, 6)
+        hi += (hi - case // 2) % 2
+        n_lo = rng.randint(-4, 10)
+        n_range = (n_lo, n_lo + rng.choice([0, 0, 1, 1, 2, 4]))
+        query = KernelQuery(knot, l_degree, m_degree, (lo, hi), n_range)
+        _solved, derived = _parity_plan(lo, hi)
+        J = jcache(knot)
+        blocks = _color_blocks(J, derived, m_degree, l_degree, n_range)
+        _, vecs, _, _ = _solve_block(J, derived, blocks, m_degree, l_degree, n_range, "exact")
+        expected = [str(_vector_to_qtelem(v, derived, m_degree, l_degree)) for v in vecs]
+        for method in ("exact", "modular"):
+            try:
+                result = minimality_kernel(replace(query, method=method))
+            except Underdetermined:
+                assert method == "modular"
+                continue
+            got = [str(e) for e in result.basis if t_parity(e) == derived[0] % 2]
+            assert got == expected, (query, method)
+            assert result.rank + result.dimension == result.unknowns
+            nonempty[method] += bool(expected)
+    assert min(nonempty.values()) >= 40

@@ -82,6 +82,18 @@ def canonical_span(vectors, ncols):
     return {c: tuple(sorted(r.items())) for c, r in piv.items()}
 
 
+def assert_standard_basis(vecs, pivots, ncols):
+    """The basis form minimality_kernel relies on: one vector per free
+    column f, with f = max(v), positive at f and zero at every other free
+    column."""
+    free = set(range(ncols)) - set(pivots)
+    assert sorted(max(v) for v in vecs) == sorted(free)
+    for v in vecs:
+        f = max(v)
+        assert v[f] > 0
+        assert free.isdisjoint(set(v) - {f})
+
+
 def random_rows(rng, nrows, ncols, density=0.4, span=6):
     rows = []
     for _ in range(nrows):
@@ -124,6 +136,7 @@ class TestExactEliminator:
             assert canonical_span(elim.nullspace(), ncols) == canonical_span(
                 ref_basis, ncols
             )
+            assert_standard_basis(elim.nullspace(), elim.pivots, ncols)
 
 
 class TestModularRREF:
@@ -146,10 +159,18 @@ class TestModularRREF:
                     B[i, c] = v
             mr.process_block(B)
             assert mr.rank == ref_rank
+            pivots = mr._pivcols[: mr.rank].tolist()
+            assert_standard_basis(mr.nullspace_mod_p(), pivots, ncols)
             lifted = [reconstruct_vector(v, p) for v in mr.nullspace_mod_p()]
             if all(v is not None for v in lifted):
                 reconstructed += 1
                 assert canonical_span(lifted, ncols) == canonical_span(ref_basis, ncols)
+                assert_standard_basis(lifted, pivots, ncols)
+                # the standard basis is unique, so the lift is the exact one
+                exact = ExactEliminator(ncols)
+                for r in rows:
+                    exact.add_row(r)
+                assert lifted == exact.nullspace()
         assert reconstructed >= 12
 
     def test_incremental_blocks(self):

@@ -206,10 +206,6 @@ class TestKernel:
         with pytest.raises(BadParams):
             minimality_kernel(query)
 
-    def test_cap_override(self):
-        with pytest.raises(SystemTooLarge):
-            minimality_kernel(KernelQuery(K23, 2, 10, (-20, 2), (1, 12), cap=100))
-
     def test_underdetermined_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
