@@ -11,12 +11,14 @@ arrive in groups:
 * ``ModularRREF``: dense reduced row echelon form modulo a large prime,
   using blocked numpy matmuls. All float64 products are of integers below
   2^53 (the modulus is < 2^20 and the inner dimension is chunked), so every
-  intermediate value is exact. Full column rank mod p certifies rational
-  kernel dimension 0 outright; mod-p kernel vectors are only candidates and
-  callers must reconstruct and verify them exactly (see
-  ``rational_reconstruct``). A single word-size prime suffices for the
-  kernels met here; multi-prime CRT lifting would be the extension point if
-  larger rational entries ever appear.
+  intermediate value is exact. The pivot rows are stored as [I | X]: only
+  X, their entries on the free columns, is kept. X is rank x (ncols - rank),
+  at most ncols^2 / 4 entries, and every matmul is as wide as the free
+  columns. Full column rank mod p certifies rational kernel dimension 0
+  outright; mod-p kernel vectors are only candidates and callers must
+  reconstruct and verify them exactly (see ``rational_reconstruct``). One
+  word-size prime lifts rationals up to about sqrt(p/2); multi-prime CRT
+  lifting would be the extension point for larger entries.
 """
 
 from __future__ import annotations
@@ -196,13 +198,25 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
 
 
 class ModularRREF:
-    """Incremental RREF mod p of a tall matrix fed in row blocks."""
+    """Incremental RREF mod p of a tall matrix fed in row blocks.
+
+    The pivot columns of the pivot rows form the identity, so only the rest
+    is stored: the pivot rows are [I | X] up to a column permutation, with
+    X the rank x (ncols - rank) float64 matrix of the pivot rows restricted
+    to the free columns. ``_pivcols`` holds the pivot column of each row of X
+    in discovery order and ``_free`` the free columns in increasing order,
+    one per column of X. X grows by rows and shrinks by columns as colors
+    arrive, and rank * (ncols - rank) <= ncols^2 / 4 bounds it: about
+    200 MB at the 10,000-column solved class of a query at
+    ``MAX_KERNEL_UNKNOWNS``.
+    """
 
     def __init__(self, ncols: int, p: int):
         self.p = p
         self.ncols = ncols
-        self._P = np.zeros((ncols, ncols))
-        self._pivcols = np.zeros(ncols, dtype=np.int64)
+        self._X = np.zeros((0, ncols))
+        self._pivcols = np.zeros(0, dtype=np.int64)
+        self._free = np.arange(ncols, dtype=np.int64)
         self.rank = 0
 
     def process_block(self, B: np.ndarray) -> int:
@@ -215,31 +229,42 @@ class ModularRREF:
         if B.dtype.kind not in "iuO":
             B = B.astype(np.float64, copy=False)
         B = np.ascontiguousarray(B % p, dtype=np.float64)
-        r = self.rank
-        if r:
-            C = B[:, self._pivcols[:r]]
-            if np.any(C):
-                B -= _matmul_mod(C, self._P[:r], p)
-                B %= p
-        nonzero = np.any(B, axis=1)
+        X, r = self._X, self.rank
+        # reduce against the pivot rows: what is left of each row lies on
+        # the free columns
+        Bf, C = B[:, self._free], B[:, self._pivcols]
+        del B
+        if np.any(C):
+            Bf -= _matmul_mod(C, X, p)
+            Bf %= p
+        nonzero = np.any(Bf, axis=1)
         if not nonzero.all():
-            B = B[nonzero]
-        if not B.shape[0]:
+            Bf = Bf[nonzero]
+        if not Bf.shape[0]:
             return 0
-        R, cols = _rref_dense(B, p)
+        R, cols = _rref_dense(Bf, p)  # cols index into the free columns
         n_new = len(cols)
         if not n_new:
             return 0
-        if r:
-            # back-reduce existing pivot rows, chunked to bound temporaries
-            for s in range(0, r, 2048):
-                blk = self._P[s : min(s + 2048, r)]
-                C = blk[:, cols]
-                if np.any(C):
-                    blk -= _matmul_mod(C, R, p)
-                    blk %= p
-        self._P[r : r + n_new] = R
-        self._pivcols[r : r + n_new] = cols
+        # The new pivot columns leave X. On the kept columns, back-reduce the
+        # old pivot rows (X -= X[:, cols] @ R), chunked to bound temporaries;
+        # on the dropped ones the result is 0, since R[:, cols] = I.
+        keep = np.ones(self._free.size, dtype=bool)
+        keep[cols] = False
+        Rk = R[:, keep]
+        Xn = np.empty((r + n_new, Rk.shape[1]))
+        for s in range(0, r, 2048):
+            e = min(s + 2048, r)
+            blk, out = X[s:e], Xn[s:e]
+            np.compress(keep, blk, axis=1, out=out)
+            C = blk[:, cols]
+            if np.any(C):
+                out -= _matmul_mod(C, Rk, p)
+                out %= p
+        Xn[r:] = Rk
+        self._X = Xn
+        self._pivcols = np.concatenate([self._pivcols, self._free[cols]])
+        self._free = self._free[keep]
         self.rank = r + n_new
         return n_new
 
@@ -247,20 +272,16 @@ class ModularRREF:
         """Kernel basis mod p as dicts column -> residue, the standard basis
         of ``ExactEliminator.nullspace``: one per free column f, in increasing
         f, 1 at f and zero at every other free column and at every column
-        after f (each pivot row is zero before its pivot). ``reconstruct_vector``
-        maps 0 to 0, so a lift keeps this form, which ``minimality_kernel``
-        relies on."""
-        r = self.rank
-        pivs = self._pivcols[:r]
-        pivset = set(int(c) for c in pivs)
+        after f (each pivot row is zero before its pivot). The vector of
+        ``_free[j]`` is read off column j of X. ``reconstruct_vector`` maps 0
+        to 0, so a lift keeps this form, which ``minimality_kernel`` relies
+        on."""
+        pivs = self._pivcols
         basis = []
-        for f in range(self.ncols):
-            if f in pivset:
-                continue
+        for j, f in enumerate(self._free.tolist()):
             vec = {f: 1}
-            col = self._P[:r, f]
-            nz = np.nonzero(col)[0]
-            for i in nz:
+            col = self._X[:, j]
+            for i in np.nonzero(col)[0]:
                 vec[int(pivs[i])] = int(self.p - col[i]) % self.p
             basis.append(vec)
         return basis

@@ -500,7 +500,9 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
     engine only then) when reconstruction or verification failed; a nullity
     still above the limit after the last color raises Underdetermined at
     once: another prime can change the rank only if this one divides a
-    minor of the system.
+    minor of the system. Failure at every prime raises BadParams: the
+    kernel's rationals are then past the single-prime reconstruction bound,
+    which the exact method does not have.
     """
     mwidth, lwidth = m_degree + 1, l_degree + 1
     ncols = len(slots) * mwidth * lwidth
@@ -545,7 +547,7 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
             return elim.rank, vecs, rows_total, prime
         if prime is None:
             raise AssertionError("exact kernel vector failed verification; assembly bug")
-    raise RuntimeError(
+    raise BadParams(
         "modular kernel candidates failed reconstruction or verification at every prime; "
         "use the exact method"
     )

@@ -172,6 +172,27 @@ class TestExitCodes:
         assert proc.wait(timeout=300) == 141
         assert err == b""
 
+    def test_failed_modular_lift_exits_2_after_every_prime(self, capsys, monkeypatch):
+        # the exact kernel (dimension 11) has coefficients past the
+        # single-prime reconstruction bound sqrt(p/2), so no prime lifts it
+        built = []
+
+        class CountingRREF(operators.ModularRREF):
+            def __init__(self, ncols, p):
+                built.append(p)
+                super().__init__(ncols, p)
+
+        monkeypatch.setattr(operators, "ModularRREF", CountingRREF)
+        code, out, err = run(
+            capsys, "kernel", "-a", "2", "-b", "3", "--L-deg", "2", "--M-deg", "6",
+            "--t-window=-6..6", "--n-range=-4..-2", "--method", "modular",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "use the exact method" in err
+        assert built == list(operators.PRIMES)
+
 
 class TestReduceCommand:
     def test_reduce_R(self, capsys):

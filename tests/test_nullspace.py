@@ -107,6 +107,52 @@ def random_rows(rng, nrows, ncols, density=0.4, span=6):
     return rows
 
 
+def dense(rows, ncols):
+    """Integer rows (dicts column -> value) as an int64 matrix."""
+    B = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            B[i, c] = v
+    return B
+
+
+def rref_mod_p(A, p):
+    """Reference RREF mod p of an integer matrix, one column at a time in
+    int64 (every product is below p^2 < 2^39): (pivot columns, pivot rows).
+    Row r is zero before column c, so the updates start at c."""
+    A = np.array(A, dtype=np.int64) % p
+    piv = []
+    for c in range(A.shape[1]):
+        r = len(piv)
+        if r == A.shape[0]:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
+            continue
+        A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A[:, c:] -= f[:, None] * A[r, c:]
+        A[:, c:] %= p
+        piv.append(c)
+    return piv, A[: len(piv)]
+
+
+def standard_nullspace_mod_p(piv, R, ncols, p):
+    """The standard kernel basis of an RREF mod p, in ``nullspace_mod_p``'s
+    dict form: one vector per free column f, 1 at f and -R[i, f] at piv[i]."""
+    pivset = set(piv)
+    basis = []
+    for f in range(ncols):
+        if f not in pivset:
+            vec = {f: 1}
+            for i in np.flatnonzero(R[:, f]):
+                vec[piv[i]] = int(-R[i, f]) % p
+            basis.append(vec)
+    return basis
+
+
 class TestExactEliminator:
     def test_known_kernel(self):
         # x0 + x1 = 0, x1 + x2 = 0 -> kernel spanned by (1, -1, 1)
@@ -190,21 +236,76 @@ class TestModularRREF:
         assert mr.rank == ref_rank
 
     def test_large_block_recursion(self):
+        # uneven blocks of more than 128 rows: each takes the _rref_dense
+        # recursion, and the later ones back-reduce the stored pivot rows
         rng = random.Random(10)
         p = PRIMES[0]
         ncols = 300
         rows = random_rows(rng, 400, ncols, density=0.2)
-        ref = ExactEliminator(ncols)
-        for r in rows:
-            ref.add_row(r)
+        B = dense(rows, ncols)
         mr = ModularRREF(ncols, p)
-        B = np.zeros((len(rows), ncols))
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                B[i, c] = v
-        mr.process_block(B)
-        assert mr.rank == ref.rank
+        start = 0
+        for size in (131, 140, 129):
+            stop = start + size
+            mr.process_block(B[start:stop])
+            piv, _ = rref_mod_p(B[:stop], p)
+            assert mr.rank == len(piv)
+            assert set(mr._pivcols.tolist()) == set(piv)
+            vecs = mr.nullspace_mod_p()
+            assert len(vecs) == ncols - len(piv)
+            for v in vecs:
+                for row in rows[:stop]:
+                    assert sum(x * v.get(c, 0) for c, x in row.items()) % p == 0
+            start = stop
+        assert mr.rank == ncols
 
+    def test_block_feeding_matches_dense_reference(self):
+        # random rank-deficient and full-rank systems fed in random splits,
+        # with all-zero blocks, blocks that add no rank, blocks after full
+        # rank and blocks over 128 rows; the stored pivot rows stay
+        # rank x (ncols - rank), and the standard basis, unique mod p, must
+        # equal the dense reference's after every block
+        rng = random.Random(12)
+        p = PRIMES[2]
+        seen = dict(zero=0, no_rank=0, after_full=0, one_col=0, tall=0)
+        for trial in range(60):
+            ncols = 1 if trial % 10 == 0 else rng.randint(2, 40)
+            target = rng.randint(0, ncols) if trial % 3 else ncols
+            base = np.array(
+                [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(target)],
+                dtype=np.int64,
+            ).reshape(target, ncols)
+            nrows = rng.choice((rng.randint(1, 40), rng.randint(129, 300)))
+            coef = np.array(
+                [[rng.randint(-3, 3) for _ in range(target)] for _ in range(nrows)],
+                dtype=np.int64,
+            ).reshape(nrows, target)
+            A = coef @ base
+            cuts = sorted(rng.sample(range(1, nrows), min(nrows - 1, rng.randint(0, 4))))
+            blocks = [A[a:b] for a, b in zip([0] + cuts, cuts + [nrows])]
+            zeros = np.zeros((rng.randint(1, 5), ncols), dtype=np.int64)
+            blocks.insert(rng.randint(0, len(blocks)), zeros)
+            blocks.insert(rng.randint(1, len(blocks)), A[rng.sample(range(nrows), min(nrows, 3))])
+            blocks.append(A[:2])
+            mr = ModularRREF(ncols, p)
+            fed = np.zeros((0, ncols), dtype=np.int64)
+            for blk in blocks:
+                was_full = mr.rank == ncols
+                before = mr.rank
+                new = mr.process_block(blk)
+                fed = np.vstack([fed, blk])
+                piv, R = rref_mod_p(fed, p)
+                assert new == mr.rank - before
+                assert mr.rank == len(piv)
+                assert mr._X.shape == (mr.rank, ncols - mr.rank)
+                assert set(mr._pivcols.tolist()) == set(piv)
+                assert mr.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
+                seen["zero"] += not blk.any()
+                seen["no_rank"] += blk.any() and not new
+                seen["after_full"] += was_full
+                seen["tall"] += len(blk) > 128
+            seen["one_col"] += ncols == 1
+        assert min(seen.values()) >= 3, seen
 
     @pytest.mark.parametrize("dtype", [object, np.int64])
     def test_integer_input_is_reduced_before_the_float_cast(self, dtype):
