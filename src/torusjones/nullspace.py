@@ -1,24 +1,16 @@
 """Exact nullspace computation for the bounded annihilator search.
 
-Two engines compute the rational kernel of an integer matrix whose rows
-arrive in groups:
-
-* ``ExactEliminator``: sparse Gaussian elimination over Z. Rows are kept as
-  primitive integer vectors (gcd content stripped after every combination),
-  which controls entry growth without ever leaving exact arithmetic. The
-  kernel basis is back-solved over Fraction and returned primitive.
-
-* ``ModularRREF``: dense reduced row echelon form modulo a large prime,
-  using blocked numpy matmuls. All float64 products are of integers below
-  2^53 (the modulus is < 2^20 and the inner dimension is chunked), so every
-  intermediate value is exact. The pivot rows are stored as [I | X]: only
-  X, their entries on the free columns, is kept. X is rank x (ncols - rank),
-  at most ncols^2 / 4 entries, and every matmul is as wide as the free
-  columns. Full column rank mod p certifies rational kernel dimension 0
-  outright; mod-p kernel vectors are only candidates and callers must
-  reconstruct and verify them exactly (see ``rational_reconstruct``). One
-  word-size prime lifts rationals up to about sqrt(p/2); multi-prime CRT
-  lifting would be the extension point for larger entries.
+``ModularRREF`` is the elimination engine: dense reduced row echelon form
+modulo a prime below 2^19, using blocked numpy matmuls. All float64 products
+are of integers below 2^53 (the inner dimension is chunked), so every
+intermediate value is exact. The pivot rows are stored as [I | X]: only X,
+their entries on the free columns, is kept. X is rank x (ncols - rank), at
+most ncols^2 / 4 entries, and every matmul is as wide as the free columns.
+Full column rank mod p certifies rational kernel dimension 0 outright.
+Mod-p kernel vectors are only candidates, which callers lift over the
+product of the primes that ``combine`` keeps (``reconstruct_vector``) and
+verify exactly. ``ExactEliminator``, sparse elimination over Z, is the
+reference that the tests compare the lifted kernels against.
 """
 
 from __future__ import annotations
@@ -89,22 +81,12 @@ class ExactEliminator:
             row = primitive(new)
         return False
 
-    def process_block(self, B: np.ndarray) -> int:
-        """Feed the nonzero rows of an integer block (rows x ncols) through
-        add_row in row order. Returns new pivot count."""
-        before = self.rank
-        for row in B:
-            nz = np.flatnonzero(row)
-            if nz.size:
-                self.add_row(dict(zip(nz.tolist(), row[nz].tolist())))
-        return self.rank - before
-
     def nullspace(self) -> list:
         """Primitive integer kernel basis vectors, the standard basis: one per
         free column f, in increasing f, positive at f and zero at every other
         free column and at every column after f (back-substitution into pivot
-        rows that start at their pivot column). ``minimality_kernel`` relies
-        on this form."""
+        rows that start at their pivot column). A rational kernel has exactly
+        one such basis, which ``ModularRREF.nullspace_mod_p`` gives mod p."""
         pcols = sorted(self.pivots)
         pivset = set(pcols)
         free = [c for c in range(self.ncols) if c not in pivset]
@@ -287,32 +269,66 @@ class ModularRREF:
         return basis
 
 
-def rational_reconstruct(u: int, p: int):
-    """Recover n/d == u (mod p) with |n|, d <= sqrt(p/2), or None."""
-    u %= p
+def prime_supply():
+    """``PRIMES``, then every prime below them in decreasing order down to
+    2^18. Each keeps the float64 arithmetic of ``ModularRREF`` exact."""
+    yield from PRIMES
+    for n in range(PRIMES[-1] - 2, 1 << 18, -2):
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+
+
+def combine(engines: list) -> tuple:
+    """(kept, residues, m): the engines to keep, their standard kernel bases
+    joined by the Chinese remainder theorem, and the product m of their primes.
+
+    A prime that divides a minor of the rows can only lower the rank of a
+    prefix of the columns: it lowers the rank or moves pivots right. So the
+    engines kept have the highest rank and, among those, the smallest sorted
+    pivot columns; they share their free columns, and so their basis order.
+    """
+    keys = [(-e.rank, np.sort(e._pivcols).tolist()) for e in engines]
+    best = min(keys)
+    kept = [e for e, key in zip(engines, keys) if key == best]
+    residues, m = kept[0].nullspace_mod_p(), kept[0].p
+    for e in kept[1:]:
+        p, inv = e.p, pow(m, -1, e.p)
+        residues = [
+            {c: v.get(c, 0) + m * ((w.get(c, 0) - v.get(c, 0)) * inv % p) for c in {**v, **w}}
+            for v, w in zip(residues, e.nullspace_mod_p())
+        ]
+        m *= p
+    return kept, residues, m
+
+
+def rational_reconstruct(u: int, m: int):
+    """Recover n/d == u (mod m) with |n|, d <= sqrt(m/2), or None. The
+    modulus may be a product of primes; a d sharing a factor with m is
+    rejected, as it has no inverse mod m."""
+    u %= m
     if u == 0:
         return (0, 1)
-    bound = math.isqrt(p // 2)
-    r0, r1 = p, u
+    bound = math.isqrt(m // 2)
+    r0, r1 = m, u
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
+    if s1 == 0 or abs(s1) > bound or math.gcd(s1, m) != 1:
         return None
     n, d = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if (n - u * d) % p != 0:
+    if (n - u * d) % m != 0:
         return None
     return (n, d)
 
 
-def reconstruct_vector(vec: dict, p: int):
-    """Lift a mod-p vector to a primitive integer vector, or None on failure."""
+def reconstruct_vector(vec: dict, m: int):
+    """Lift a mod-m vector to a primitive integer vector, or None on failure."""
     pairs = {}
     lcm = 1
     for c, u in vec.items():
-        r = rational_reconstruct(u, p)
+        r = rational_reconstruct(u, m)
         if r is None:
             return None
         pairs[c] = r

@@ -18,12 +18,7 @@ import numpy as np
 
 from .jones import BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
 from .laurent import TPoly, lambda_poly, quantum_integer
-from .nullspace import (
-    PRIMES,
-    ExactEliminator,
-    ModularRREF,
-    reconstruct_vector,
-)
+from .nullspace import PRIMES, ModularRREF, combine, prime_supply, reconstruct_vector
 from .qtorus import DiscreteSeq, QTElem, _dense, acted
 
 
@@ -408,7 +403,6 @@ class KernelResult:
     method: str = "exact"
     prime: int | None = None
     constraint_rows: int = 0
-    underdetermined: bool = False
 
 
 def _vector_to_qtelem(vec: dict, slots: list, m_degree: int, l_degree: int) -> QTElem:
@@ -425,8 +419,8 @@ def _vector_to_qtelem(vec: dict, slots: list, m_degree: int, l_degree: int) -> Q
     return QTElem(terms)
 
 
-def _verify_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> bool:
-    return sweep("candidate", 0, 0, n_range, functools.partial(elem.apply, jser)).passed
+def _sweep_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+    return sweep("candidate", 0, 0, n_range, functools.partial(elem.apply, jser))
 
 
 class _ColorBlock(NamedTuple):
@@ -492,61 +486,92 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> 
 def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
     """Rank, kernel basis, rows fed and prime (None when exact) of one parity class.
 
-    Both engines take each color's block through ``process_block``. Colors
-    are fed in order. The search stops at full rank, or, from the second
-    color on, when a color adds no rank, the nullity is at most
-    MAX_CANDIDATE_NULLITY and the kernel candidates verify on the whole
-    n_range. A modular search moves on to the next prime (building its
-    engine only then) when reconstruction or verification failed; a nullity
-    still above the limit after the last color raises Underdetermined at
-    once: another prime can change the rank only if this one divides a
-    minor of the system. Failure at every prime raises BadParams: the
-    kernel's rationals are then past the single-prime reconstruction bound,
-    which the exact method does not have.
+    Both methods run ``ModularRREF`` engines: ``modular`` tries five
+    one-prime supplies from ``PRIMES`` in turn, ``exact`` has the one supply
+    ``prime_supply()``. The engines of a supply are fed the colors in order.
+    The search stops at full rank or when the kernel verifies at a
+    checkpoint: a color from the second on that adds no rank at nullity at
+    most MAX_CANDIDATE_NULLITY, or the end of n_range. There the kernel is
+    lifted over the primes ``combine`` keeps and swept over n_range. A failed
+    lift, or a failure at a color already fed, adds an engine at the
+    supply's next prime, fed the colors so far, and lifts again (with no
+    prime left: keep feeding, or after the last color try the next supply).
+    A first failure at a later color means keep feeding: candidates that
+    pass the fed colors are the rational kernel of those rows, since they
+    are independent and as many as the nullity mod p, which is at least the
+    rational one. So ``exact`` stops where elimination over Q stops, unless a
+    prime divides a minor of the fed rows: that can move the stop, never the
+    kernel.
+
+    A modular nullity above the limit after the last color raises
+    Underdetermined at once: another prime changes the rank only if this one
+    divides a minor. Failure at every prime raises BadParams: the kernel's
+    rationals are past the one-prime bound, which ``exact`` passes.
     """
     mwidth, lwidth = m_degree + 1, l_degree + 1
     ncols = len(slots) * mwidth * lwidth
+    engines, fed = [], []  # of the current supply
 
-    def candidates(elim, prime):
-        if prime is None:
-            return elim.nullspace()
-        lifted = [reconstruct_vector(v, prime) for v in elim.nullspace_mod_p()]
-        return lifted if all(v is not None for v in lifted) else None
-
-    def verified(vecs) -> bool:
-        if vecs is None:
+    def draw(supply) -> bool:
+        """Add an engine at the supply's next prime, fed every color so far."""
+        p = next(supply, None)
+        if p is None:
             return False
-        elems = [_vector_to_qtelem(v, slots, m_degree, l_degree) for v in vecs]
-        return all(_verify_candidate(e, jser, n_range) for e in elems)
+        engines.append(ModularRREF(ncols, p))
+        for block in fed:
+            engines[-1].process_block(_color_matrix(block, slots, mwidth, lwidth))
+        return True
 
-    for prime in (None,) if method == "exact" else PRIMES:
-        elim = ExactEliminator(ncols) if prime is None else ModularRREF(ncols, prime)
-        rows_total = 0
+    def kernel(supply, last_n):
+        """The lifted kernel if it verifies on n_range, else None."""
+        while True:
+            engines[:], residues, m = combine(engines)
+            vecs = [reconstruct_vector(v, m) for v in residues]
+            if None not in vecs:
+                for v in vecs:
+                    elem = _vector_to_qtelem(v, slots, m_degree, l_degree)
+                    n = _sweep_candidate(elem, jser, n_range).witness_n
+                    if n is not None:
+                        break
+                else:
+                    return vecs
+                if n > last_n:
+                    return None
+            if not draw(supply):
+                return None
+
+    def found(vecs):
+        prime = None if method == "exact" else engines[0].p
+        return ncols - len(vecs), vecs, sum(block.width for block in fed), prime
+
+    supplies = [prime_supply()] if method == "exact" else [iter((p,)) for p in PRIMES]
+    for supply in supplies:
+        del engines[:], fed[:]
+        draw(supply)
         for gi, block in enumerate(blocks):
             if block is None:
                 continue
-            before = elim.rank
-            elim.process_block(_color_matrix(block, slots, mwidth, lwidth))
-            rows_total += block.width
-            if elim.rank == ncols:
-                return elim.rank, [], rows_total, prime
-            if gi >= 1 and elim.rank == before and ncols - elim.rank <= MAX_CANDIDATE_NULLITY:
-                vecs = candidates(elim, prime)
-                if verified(vecs):
-                    return elim.rank, vecs, rows_total, prime
-        # range exhausted: the exact kernel must verify; a modular one gets a
-        # last reconstruction attempt before the next prime
-        if prime is not None and ncols - elim.rank > MAX_CANDIDATE_NULLITY:
+            before = max(e.rank for e in engines)
+            for e in engines:  # a temporary each: binding it to a name raised peak RSS
+                e.process_block(_color_matrix(block, slots, mwidth, lwidth))
+            fed.append(block)
+            rank = max(e.rank for e in engines)
+            if rank == ncols:
+                return found([])
+            if gi >= 1 and rank == before and ncols - rank <= MAX_CANDIDATE_NULLITY:
+                vecs = kernel(supply, block.n)
+                if vecs is not None:
+                    return found(vecs)
+        nullity = ncols - max(e.rank for e in engines)
+        if method == "modular" and nullity > MAX_CANDIDATE_NULLITY:
             raise Underdetermined(
-                f"modular kernel nullity {ncols - elim.rank} is above "
+                f"modular kernel nullity {nullity} is above "
                 f"{MAX_CANDIDATE_NULLITY} after the last color; "
                 "widen n_range or use the exact method"
             )
-        vecs = candidates(elim, prime)
-        if verified(vecs):
-            return elim.rank, vecs, rows_total, prime
-        if prime is None:
-            raise AssertionError("exact kernel vector failed verification; assembly bug")
+        vecs = kernel(supply, n_range[1])
+        if vecs is not None:
+            return found(vecs)
     raise BadParams(
         "modular kernel candidates failed reconstruction or verification at every prime; "
         "use the exact method"
@@ -584,7 +609,7 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     # block diagonal in the parity of alpha. Only the solved class is
     # eliminated: the unit t-shift of ``_parity_plan`` maps the derived
     # class's kernel onto the solved kernel vectors supported below column
-    # `cut`. Both engines return the standard basis (see
+    # `cut`. The lifted kernel is the standard basis (see
     # ``ExactEliminator.nullspace``), so the vectors with max < cut span that
     # subspace, and read over the derived slots they are its standard basis.
     solved, derived = _parity_plan(lo, hi)
@@ -597,15 +622,14 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
     rank += cut - len(derived_vecs)
     basis = [_vector_to_qtelem(v, solved, m_degree, l_degree) for v in vecs]
     derived_basis = [_vector_to_qtelem(v, derived, m_degree, l_degree) for v in derived_vecs]
-    if not all(_verify_candidate(e, jser, query.n_range) for e in derived_basis):
+    if not all(_sweep_candidate(e, jser, query.n_range).passed for e in derived_basis):
         raise AssertionError("derived parity kernel vector failed verification")
     basis += derived_basis
     # the recommendation is about the queried range, not the (possibly
     # early-stopped) rows actually processed
     potential_rows = sum(block.width for block in blocks if block is not None)
     unknowns_solved = len(solved) * stride
-    underdetermined = potential_rows < unknowns_solved
-    if underdetermined:
+    if potential_rows < unknowns_solved:
         warnings.warn(
             f"kernel system is underdetermined: {potential_rows} constraints for "
             f"{unknowns_solved} eliminated unknowns; widen n_range",
@@ -619,7 +643,6 @@ def minimality_kernel(query: KernelQuery) -> KernelResult:
         method=method,
         prime=prime,
         constraint_rows=rows_total,
-        underdetermined=underdetermined,
     )
 
 

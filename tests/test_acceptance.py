@@ -2,7 +2,7 @@
 stated parameters and prints one pass/fail line (visible with pytest -s).
 
 The two kernel certificates for the (3,4) knot eliminate systems of 14,625
-and 19,500 unknowns and take a couple of minutes each; deselect with
+and 19,500 unknowns and take under a minute each; deselect them with
 ``-m "not kernel"`` for a quick pass over everything else.
 """
 
@@ -208,7 +208,6 @@ def test_criterion_9_property_suites():
     report("9 property suites", ok, "fixed seeds, zero failures")
 
 
-@pytest.mark.kernel
 def test_criterion_8a_kernel_certificates_2_3():
     g = build_G(3)
     dim0 = minimality_kernel(

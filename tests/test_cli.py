@@ -266,6 +266,27 @@ class TestKernelCommand:
         assert "widen n_range or use the exact method" in err
         assert built == [operators.PRIMES[0]]
 
+    def test_exact_lift_builds_the_primes_it_needs(self, capsys, monkeypatch):
+        # the kernel (dimension 11) has coefficients up to 26,361, past one
+        # prime's bound of about 511 and within the bound of two primes;
+        # the output is pinned in data/golden_cli.json
+        built = []
+
+        class CountingRREF(operators.ModularRREF):
+            def __init__(self, ncols, p):
+                built.append(p)
+                super().__init__(ncols, p)
+
+        monkeypatch.setattr(operators, "ModularRREF", CountingRREF)
+        code, out, _ = run(
+            capsys, "kernel", "-a", "2", "-b", "3", "--L-deg", "2", "--M-deg", "6",
+            "--t-window=-6..6", "--n-range=-4..-2", "--method", "exact", "--json",
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["dimension"], rec["method"], rec["prime"]) == (11, "exact", None)
+        assert built == list(operators.PRIMES[:2])
+
 
 class TestRangeParsing:
     def test_forms(self):

@@ -2,7 +2,9 @@
 
 ``data/golden_cli.json`` holds the stdout and exit code of ``reduce`` for
 every named operator on every applicable suite knot and of the (2,3)
-``kernel`` queries, text and JSON. The ``verify all --suite --json`` digest
+``kernel`` queries, text and JSON. The last exact query's kernel has
+coefficients up to 26,361, past what one prime lifts (about 511). The
+``verify all --suite --json`` digest
 is the one the benchmark pins in ``perfbench/suite_expected.json``.
 """
 

@@ -1,13 +1,13 @@
-"""The kernel search's constraint blocks, its two engines and its parity
+"""The kernel search's constraint blocks, its two methods and its parity
 classes.
 
 The block builder is checked column by column against ``QTElem.apply``, the
-action it encodes; the exact and modular engines are checked against each
-other on random small queries; the kernel of the parity class read off the
-solved basis is checked against an elimination of that class's own blocks."""
+action it encodes. Both methods are checked on random small queries against
+``ExactEliminator`` fed the same blocks, and so is the kernel of the parity
+class read off the solved basis."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 
 from torusjones.jones import TorusKnot
 from torusjones.laurent import TPoly
+from torusjones.nullspace import ExactEliminator
 from torusjones.operators import (
     KernelQuery,
+    KernelResult,
     MAX_CANDIDATE_NULLITY,
     Underdetermined,
     _color_blocks,
     _color_matrix,
     _parity_plan,
-    _solve_block,
     _vector_to_qtelem,
     minimality_kernel,
 )
@@ -70,6 +71,22 @@ def test_block_past_int64_holds_python_ints():
     assert_columns_match_apply(J, [-4, -2, 0], 2, 1, (-1, 2))
 
 
+def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:
+    """The standard kernel basis of one parity class on the whole n_range, as
+    operator strings: ``ExactEliminator`` fed every row of every color's
+    ``_color_matrix``."""
+    if not slots:
+        return []
+    mwidth, lwidth = m_degree + 1, l_degree + 1
+    elim = ExactEliminator(len(slots) * mwidth * lwidth)
+    for block in _color_blocks(J, slots, m_degree, l_degree, n_range):
+        if block is not None and elim.rank < elim.ncols:
+            for row in _color_matrix(block, slots, mwidth, lwidth):
+                nz = np.flatnonzero(row)
+                elim.add_row(dict(zip(nz.tolist(), row[nz].tolist())))
+    return [str(_vector_to_qtelem(v, slots, m_degree, l_degree)) for v in elim.nullspace()]
+
+
 @st.composite
 def small_queries(draw):
     knot = draw(st.sampled_from([TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)]))
@@ -87,16 +104,23 @@ def small_queries(draw):
 @pytest.mark.filterwarnings("ignore:kernel system is underdetermined")
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(small_queries())
-def test_exact_and_modular_kernels_agree(query):
+def test_exact_and_modular_kernels_agree(jcache, query):
+    J = jcache(query.knot)
+    args = (query.m_degree, query.l_degree, query.n_range)
+    solved, derived = _parity_plan(*query.t_window)
+    expected = oracle_basis(J, solved, *args) + oracle_basis(J, derived, *args)
     exact = minimality_kernel(replace(query, method="exact"))
+    assert [str(e) for e in exact.basis] == expected
+    assert exact.rank == exact.unknowns - len(expected)
     try:
         modular = minimality_kernel(replace(query, method="modular"))
     except Underdetermined:
         # the modular engine reads off candidates only up to this nullity
         assert exact.dimension > MAX_CANDIDATE_NULLITY
         return
-    assert (modular.rank, modular.dimension) == (exact.rank, exact.dimension)
-    assert [str(e) for e in modular.basis] == [str(e) for e in exact.basis]
+    for f in fields(KernelResult):
+        if f.name not in ("method", "prime"):
+            assert getattr(modular, f.name) == getattr(exact, f.name), f.name
 
 
 @pytest.mark.parametrize(
@@ -123,7 +147,7 @@ def t_parity(elem: QTElem) -> int:
 @pytest.mark.filterwarnings("ignore:kernel system is underdetermined")
 def test_derived_class_matches_its_own_elimination(jcache):
     """The derived parity class's basis, read off the solved one, equals the
-    exact engine's basis of the derived slots' own blocks, in order."""
+    oracle's basis of the derived slots' own blocks, in order."""
     rng = random.Random(12)
     nonempty = {"exact": 0, "modular": 0}  # cases compared with a nonempty derived basis
     for case in range(160):
@@ -137,10 +161,7 @@ def test_derived_class_matches_its_own_elimination(jcache):
         n_range = (n_lo, n_lo + rng.choice([0, 0, 1, 1, 2, 4]))
         query = KernelQuery(knot, l_degree, m_degree, (lo, hi), n_range)
         _solved, derived = _parity_plan(lo, hi)
-        J = jcache(knot)
-        blocks = _color_blocks(J, derived, m_degree, l_degree, n_range)
-        _, vecs, _, _ = _solve_block(J, derived, blocks, m_degree, l_degree, n_range, "exact")
-        expected = [str(_vector_to_qtelem(v, derived, m_degree, l_degree)) for v in vecs]
+        expected = oracle_basis(jcache(knot), derived, m_degree, l_degree, n_range)
         for method in ("exact", "modular"):
             try:
                 result = minimality_kernel(replace(query, method=method))

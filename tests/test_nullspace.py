@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from torusjones.nullspace import (
     PRIMES,
     ExactEliminator,
     ModularRREF,
+    combine,
+    prime_supply,
     rational_reconstruct,
     reconstruct_vector,
 )
@@ -317,21 +320,73 @@ class TestModularRREF:
         assert mr.process_block(np.array([[v]], dtype=dtype)) == 1
 
 
-class TestExactProcessBlock:
-    def test_matches_rows_fed_one_by_one(self):
-        rng = random.Random(11)
-        ncols = 12
-        rows = random_rows(rng, 25, ncols)
-        ref = ExactEliminator(ncols)
-        for r in rows:
-            ref.add_row(r)
-        B = np.zeros((len(rows) + 1, ncols), dtype=np.int64)  # plus one zero row
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                B[i, c] = v
-        elim = ExactEliminator(ncols)
-        assert elim.process_block(B) == ref.rank
-        assert elim.pivots == ref.pivots
+def exact_eliminator(rows, ncols):
+    elim = ExactEliminator(ncols)
+    for r in rows:
+        elim.add_row(dict(enumerate(r)))
+    return elim
+
+
+def fed_engines(rows, primes):
+    ncols = len(rows[0])
+    engines = [ModularRREF(ncols, p) for p in primes]
+    for e in engines:
+        e.process_block(np.array(rows, dtype=np.int64))
+    return engines
+
+
+P0 = PRIMES[0]
+
+
+class TestCombine:
+    # The leading 2 x 2 minors of both systems are P0. In the first, every
+    # row is a multiple of (1, 3) mod P0 on columns 0 and 1, so pivot 1 moves
+    # right and the rank stays; in the second the rank drops.
+    UNLUCKY = {
+        "pivots-move": [
+            [1, 3, 2, 0, 5, -1, 4],
+            [2, 6 + P0, 0, 1, -3, 2, 2],
+            [-1, -3, -4, 3, 1, 0, -2],
+            [0, 0, 1, -1, 0, 2, 1],
+        ],
+        "rank-drops": [[1, 3, 5, 2], [2, 6 + P0, 10, 4]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNLUCKY))
+    def test_unlucky_prime_is_dropped(self, case):
+        rows = self.UNLUCKY[case]
+        exact = exact_eliminator(rows, len(rows[0]))
+        # kernel entries near 7 P0 need three lucky primes to lift
+        engines = fed_engines(rows, PRIMES[:4])
+        unlucky, lucky = engines[0], engines[1:]
+        reference = (exact.rank, sorted(exact.pivots))
+        assert (unlucky.rank, sorted(unlucky._pivcols.tolist())) != reference
+        assert (unlucky.rank == exact.rank) == (case == "pivots-move")
+        for e in lucky:
+            assert (e.rank, sorted(e._pivcols.tolist())) == reference
+        kept, residues, m = combine(engines)
+        assert kept == lucky
+        assert m == math.prod(PRIMES[1:4])
+        assert [reconstruct_vector(v, m) for v in residues] == exact.nullspace()
+
+    def test_two_primes_lift_past_the_one_prime_bound(self):
+        # the kernel vector (999, 1000) is past sqrt(p/2) ~ 511 for one prime
+        rows = [[1000, -999]]
+        exact = exact_eliminator(rows, 2)
+        assert exact.nullspace() == [{0: 999, 1: 1000}]
+        for primes in (PRIMES[:1], PRIMES[:2], PRIMES[:3]):
+            kept, residues, m = combine(fed_engines(rows, primes))
+            lifted = [reconstruct_vector(v, m) for v in residues]
+            assert len(kept) == len(primes)
+            assert lifted == ([None] if len(primes) == 1 else exact.nullspace())
+
+    def test_prime_supply(self):
+        # PRIMES, then every prime below them down to 2^18, by a sieve
+        sieve = np.ones(PRIMES[-1], dtype=bool)
+        for d in range(2, math.isqrt(PRIMES[-1]) + 1):
+            sieve[d * d :: d] = False
+        below = [n for n in range(PRIMES[-1] - 1, 2**18, -1) if sieve[n]]
+        assert list(prime_supply()) == list(PRIMES) + below
 
 
 class TestRationalReconstruction:
@@ -339,8 +394,6 @@ class TestRationalReconstruction:
         p = PRIMES[0]
         for num in range(-30, 31):
             for den in (1, 2, 3, 7, 11):
-                import math
-
                 if math.gcd(abs(num), den) != 1:
                     continue
                 u = num * pow(den, p - 2, p) % p
@@ -348,6 +401,17 @@ class TestRationalReconstruction:
 
     def test_zero(self):
         assert rational_reconstruct(0, PRIMES[0]) == (0, 1)
+
+    def test_denominator_sharing_a_factor_with_the_modulus_is_rejected(self):
+        # u is 0 mod p0 and a/b mod p1 p2; the pair (p0 a, p0 b) fits the
+        # bound sqrt(m/2) and matches u mod m, but p0 b has no inverse mod m
+        p0, p1, p2 = PRIMES[:3]
+        q, m = p1 * p2, p0 * p1 * p2
+        for a, b in ((1, 2), (3, 7), (-5, 11)):
+            u = a * pow(b, -1, q) % q
+            u += q * (-u * pow(q, -1, p0) % p0)
+            assert u % p0 == 0 and (p0 * a - u * p0 * b) % m == 0
+            assert rational_reconstruct(u, m) is None
 
     def test_vector_lift_is_primitive(self):
         p = PRIMES[0]
