@@ -1,11 +1,14 @@
 """Exact nullspace computation for the bounded annihilator search.
 
 ``ModularRREF`` is the elimination engine: dense reduced row echelon form
-modulo a prime below 2^19, using blocked numpy matmuls. All float64 products
-are of integers below 2^53 (the inner dimension is chunked), so every
-intermediate value is exact. The pivot rows are stored as [I | X]: only X,
-their entries on the free columns, is kept. X is rank x (ncols - rank), at
-most ncols^2 / 4 entries, and every matmul is as wide as the free columns.
+modulo a prime 2^18 < p < 2^19, in float64 with blocked numpy matmuls.
+Stored blocks hold residues in [0, p). ``_submul`` updates X to
+(X - A @ B) mod p with the inner dimension chunked by 2^53 // p^2, so every
+value it forms is an integer of magnitude below 2^53, exact in float64, and
+``_mod`` reduces such integers exactly, in place and without float ``%``.
+The pivot rows are stored as [I | X]: only X, their entries on the free
+columns, is kept. X is rank x (ncols - rank), at most ncols^2 / 4 entries,
+and every matmul is as wide as the free columns.
 Full column rank mod p certifies rational kernel dimension 0 outright.
 Mod-p kernel vectors are only candidates, which callers lift over the
 product of the primes that ``combine`` keeps (``reconstruct_vector``) and
@@ -110,36 +113,79 @@ class ExactEliminator:
         return basis
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p in float64; the inner dimension is chunked so that
-    accumulated integer values stay below 2^53."""
+#: Row count at or below which ``_rref_dense`` eliminates row by row.
+_BASE_ROWS = 32
+#: Elements per slab of ``_mod``, so that its temporaries stay in cache.
+_SLAB = 1 << 15
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce x mod p in place and return it: x is a float64 array of
+    integers with |x| < 2^53, and p > 7.
+
+    The quotient is truncated from one multiply by r = fl(fl(1/p)(1 - 4u)),
+    where u = 2^-53 is the unit roundoff. Each of the two roundings has
+    relative error at most u, so (1 - 6u)/p < r < (1 - 2u)/p, and the rounded
+    product fl(x r) = x r (1 + d) with |d| <= u satisfies
+
+        |x|/p - 7/p < |x|/p (1 - 7u) <= |fl(x r)| <= |x|/p.
+
+    As 7/p < 1, q = trunc(fl(x r)) is trunc(x/p) or one less in magnitude.
+    Then |q p| <= |x| < 2^53, so q p and y = x - q p are exact integers, and
+    y has the sign of x with |y| < 2p. Adding 2p to y < 0 and then
+    subtracting p from y >= p gives x mod p in [0, p). These are passes of
+    plain arithmetic, over slabs that stay in cache; float64 ``%`` is
+    several times slower.
+    """
+    r = (1.0 / p) * (1 - 2.0**-51)
+    rows = max(1, _SLAB // max(1, x[:1].size))
+    q = np.empty(x[:rows].shape)
+    mask = np.empty(q.shape, dtype=bool)
+    for s in range(0, x.shape[0], rows):
+        v = x[s : s + rows]
+        t, m = q[: v.shape[0]], mask[: v.shape[0]]
+        np.multiply(v, r, out=t)
+        np.trunc(t, out=t)
+        t *= p
+        v -= t
+        np.less(v, 0, out=m)
+        np.add(v, 2 * p, out=v, where=m)
+        np.greater_equal(v, p, out=m)
+        np.subtract(v, p, out=v, where=m)
+    return x
+
+
+def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """X = (X - A @ B) mod p in place, exactly, for X, A and B with entries
+    in [0, p); returns X. The inner dimension is chunked by
+    chunk = 2^53 // p^2, so a chunk's product has entries in
+    [0, chunk (p - 1)^2], and X - A @ B stays above -2^53 (see ``_mod``)."""
     chunk = max(1, (1 << 53) // (p * p))
-    out = np.zeros((A.shape[0], B.shape[1]))
     for s in range(0, A.shape[1], chunk):
-        out += A[:, s : s + chunk] @ B[s : s + chunk]
-        out %= p
-    return out
+        X -= A[:, s : s + chunk] @ B[s : s + chunk]
+        _mod(X, p)
+    return X
 
 
 def _rref_dense(B: np.ndarray, p: int) -> tuple:
-    """In-place RREF of a dense block mod p.
+    """In-place RREF of a dense block mod p, with entries in [0, p).
 
     Returns (R, cols): R[i] has value 1 at column cols[i] and 0 at every
-    other cols[j]. Recursion keeps the bulk of the work inside matmuls; the
-    base case uses whole-block outer-product updates (entries stay below
-    p + p^2 < 2^53, so float64 arithmetic is exact).
+    other cols[j]. Recursion on halves of the rows keeps the bulk of the
+    work inside matmuls (``_submul``); blocks of at most ``_BASE_ROWS`` rows
+    are eliminated row by row with whole-block rank-1 updates.
     """
     m = B.shape[0]
-    if m <= 128:
-        # Deferred reduction: each outer update adds at most p^2 per entry, so
-        # up to 128 updates stay below 2^46 and one final mod suffices. Only
-        # the pivot row and pivot column are reduced eagerly (they feed the
-        # next products).
+    if m <= _BASE_ROWS:
+        # Deferred reduction: each rank-1 update subtracts a product of two
+        # residues, at most (p - 1)^2 < 2^38 per entry, so after at most
+        # _BASE_ROWS - 1 updates every entry lies in (-2^43, p) and one _mod
+        # at the end is exact. Only the pivot row and the pivot column are
+        # reduced eagerly, since they feed the next update.
         keep = []
         cols = []
         for i in range(m):
-            r = B[i]
-            r %= p
+            r = _mod(B[i], p)
             nz = np.nonzero(r)[0]
             if nz.size == 0:
                 continue
@@ -147,8 +193,8 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
             inv = pow(int(r[c]), p - 2, p)
             if inv != 1:
                 r *= inv
-                r %= p
-            col = B[:, c] % p
+                _mod(r, p)
+            col = _mod(B[:, c].copy(), p)
             col[i] = 0.0
             if np.any(col):
                 B -= col[:, None] * r
@@ -156,7 +202,7 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
             cols.append(c)
         if not keep:
             return np.zeros((0, B.shape[1])), np.array([], dtype=np.int64)
-        B %= p
+        _mod(B, p)
         return B[keep], np.array(cols, dtype=np.int64)
     half = m // 2
     R1, c1 = _rref_dense(B[:half], p)
@@ -164,14 +210,12 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
     if c1.size and R1.shape[0]:
         C = B2[:, c1]
         if np.any(C):
-            B2 -= _matmul_mod(C, R1, p)
-            B2 %= p
+            _submul(B2, C, R1, p)
     R2, c2 = _rref_dense(B2, p)
     if c2.size and R1.shape[0]:
         C = R1[:, c2]
         if np.any(C):
-            R1 -= _matmul_mod(C, R2, p)
-            R1 %= p
+            _submul(R1, C, R2, p)
     if not R1.shape[0]:
         return R2, c2
     if not R2.shape[0]:
@@ -210,21 +254,27 @@ class ModularRREF:
         B = np.asarray(B)
         if B.dtype.kind not in "iuO":
             B = B.astype(np.float64, copy=False)
-        B = np.ascontiguousarray(B % p, dtype=np.float64)
         X, r = self._X, self.rank
+        # split the residues into the free and the pivot columns, a slab of
+        # rows at a time, so that no temporary is as large as the block
+        Bf, C = np.empty((B.shape[0], self._free.size)), np.empty((B.shape[0], r))
+        step = max(1, _SLAB // max(1, B.shape[1]))
+        for s in range(0, B.shape[0], step):
+            blk = B[s : s + step] % p
+            Bf[s : s + step], C[s : s + step] = blk[:, self._free], blk[:, self._pivcols]
+        del B
         # reduce against the pivot rows: what is left of each row lies on
         # the free columns
-        Bf, C = B[:, self._free], B[:, self._pivcols]
-        del B
         if np.any(C):
-            Bf -= _matmul_mod(C, X, p)
-            Bf %= p
+            _submul(Bf, C, X, p)
+        del C
         nonzero = np.any(Bf, axis=1)
         if not nonzero.all():
             Bf = Bf[nonzero]
         if not Bf.shape[0]:
             return 0
         R, cols = _rref_dense(Bf, p)  # cols index into the free columns
+        del Bf
         n_new = len(cols)
         if not n_new:
             return 0
@@ -233,17 +283,16 @@ class ModularRREF:
         # on the dropped ones the result is 0, since R[:, cols] = I.
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
-        Rk = R[:, keep]
-        Xn = np.empty((r + n_new, Rk.shape[1]))
+        Xn = np.empty((r + n_new, self._free.size - n_new))
+        Rk = np.compress(keep, R, axis=1, out=Xn[r:])
+        del R
         for s in range(0, r, 2048):
             e = min(s + 2048, r)
             blk, out = X[s:e], Xn[s:e]
             np.compress(keep, blk, axis=1, out=out)
             C = blk[:, cols]
             if np.any(C):
-                out -= _matmul_mod(C, Rk, p)
-                out %= p
-        Xn[r:] = Rk
+                _submul(out, C, Rk, p)
         self._X = Xn
         self._pivcols = np.concatenate([self._pivcols, self._free[cols]])
         self._free = self._free[keep]

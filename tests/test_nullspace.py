@@ -4,16 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusjones.nullspace import (
+    _BASE_ROWS,
+    _SLAB,
     PRIMES,
     ExactEliminator,
     ModularRREF,
+    _mod,
+    _submul,
     combine,
     prime_supply,
     rational_reconstruct,
     reconstruct_vector,
 )
+
+#: ``PRIMES`` and 262147, the smallest prime that ``prime_supply`` yields
+MOD_PRIMES = PRIMES + (262147,)
+TOP = 2**53 - 1
 
 
 def dense_nullspace_fractions(rows, ncols):
@@ -188,6 +198,73 @@ class TestExactEliminator:
             assert_standard_basis(elim.nullspace(), elim.pivots, ncols)
 
 
+def mod_boundaries(p):
+    """0, +-1, k p and k p +- 1, +-(2^53 - 1) and +-(chunk (p - 1)^2 + p - 1),
+    the largest magnitude ``_submul`` can produce, as Python ints."""
+    chunk = (1 << 53) // (p * p)
+    vals = {0, 1, TOP, chunk * (p - 1) ** 2 + p - 1}
+    for k in (1, 2, 3, 1 << 20, chunk * p, TOP // p - 1, TOP // p):
+        vals |= {k * p - 1, k * p, k * p + 1}
+    vals = sorted(v for v in vals if v <= TOP)
+    return [-v for v in vals] + vals
+
+
+class TestMod:
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_boundary_values(self, p):
+        vals = mod_boundaries(p)
+        x = np.array(vals, dtype=np.float64)
+        assert x.tolist() == vals
+        assert _mod(x, p).tolist() == [v % p for v in vals]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-TOP, TOP), min_size=1, max_size=40),
+        st.sampled_from(MOD_PRIMES),
+    )
+    def test_matches_integer_mod(self, vals, p):
+        x = np.array(vals, dtype=np.float64)
+        assert _mod(x, p).tolist() == [v % p for v in vals]
+
+    @pytest.mark.parametrize(
+        "shape, view",
+        [
+            ((2 * _SLAB + 5,), slice(None)),
+            ((3, _SLAB // 2 + 1), slice(None)),
+            ((_SLAB // 4 + 3, 7), (slice(None), 3)),
+            ((_SLAB // 4 + 3, 7), (slice(None), slice(1, None, 2))),
+        ],
+    )
+    def test_every_slab_is_reduced(self, shape, view):
+        # arrays past one slab, the last one partial, and strided views,
+        # which are reduced in place and leave the rest of the array alone
+        p = PRIMES[0]
+        rng = np.random.default_rng(7)
+        x = rng.integers(-TOP, TOP, size=shape, endpoint=True)
+        ref = x.astype(object)
+        ref[view] %= p
+        y = x.astype(np.float64)
+        v = y[view]
+        assert _mod(v, p) is v
+        assert (y.astype(np.int64) == ref.astype(np.int64)).all()
+
+    @pytest.mark.parametrize("p", [PRIMES[0], MOD_PRIMES[-1]])
+    def test_submul_matches_integer_arithmetic(self, p):
+        # an inner dimension of two chunks and one more column; all entries
+        # p - 1 make each chunk's product the largest one _submul subtracts
+        chunk = (1 << 53) // (p * p)
+        rng = np.random.default_rng(8)
+        for A, B in (
+            (np.full((2, 2 * chunk + 1), p - 1), np.full((2 * chunk + 1, 3), p - 1)),
+            (rng.integers(0, p, (2, chunk + 3)), rng.integers(0, p, (chunk + 3, 3))),
+        ):
+            X = rng.integers(0, p, (2, 3))
+            ref = (X.astype(object) - A.astype(object) @ B.astype(object)) % p
+            Y = X.astype(np.float64)
+            assert _submul(Y, A.astype(np.float64), B.astype(np.float64), p) is Y
+            assert Y.tolist() == ref.tolist()
+
+
 class TestModularRREF:
     def test_matches_exact_on_random_systems(self):
         # the rank must agree on every trial; nullspace vectors additionally
@@ -239,16 +316,19 @@ class TestModularRREF:
         assert mr.rank == ref_rank
 
     def test_large_block_recursion(self):
-        # uneven blocks of more than 128 rows: each takes the _rref_dense
-        # recursion, and the later ones back-reduce the stored pivot rows
+        # blocks of _BASE_ROWS - 1 and _BASE_ROWS rows take the row-by-row
+        # base case of _rref_dense; _BASE_ROWS + 1, 2 _BASE_ROWS + 1 and the
+        # uneven blocks over 128 rows take its recursion, and every block
+        # after the first back-reduces the stored pivot rows
         rng = random.Random(10)
         p = PRIMES[0]
         ncols = 300
-        rows = random_rows(rng, 400, ncols, density=0.2)
+        sizes = (_BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 2 * _BASE_ROWS + 1, 131, 140, 129)
+        rows = random_rows(rng, sum(sizes), ncols, density=0.2)
         B = dense(rows, ncols)
         mr = ModularRREF(ncols, p)
         start = 0
-        for size in (131, 140, 129):
+        for size in sizes:
             stop = start + size
             mr.process_block(B[start:stop])
             piv, _ = rref_mod_p(B[:stop], p)
@@ -265,12 +345,16 @@ class TestModularRREF:
     def test_block_feeding_matches_dense_reference(self):
         # random rank-deficient and full-rank systems fed in random splits,
         # with all-zero blocks, blocks that add no rank, blocks after full
-        # rank and blocks over 128 rows; the stored pivot rows stay
-        # rank x (ncols - rank), and the standard basis, unique mod p, must
-        # equal the dense reference's after every block
+        # rank, one block per trial of _BASE_ROWS - 1, _BASE_ROWS,
+        # _BASE_ROWS + 1 or 2 _BASE_ROWS + 1 rows, and blocks over
+        # _BASE_ROWS rows, which take the _rref_dense recursion; the stored
+        # pivot rows stay rank x (ncols - rank), and the standard basis,
+        # unique mod p, must equal the dense reference's after every block
         rng = random.Random(12)
         p = PRIMES[2]
+        sizes = (_BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 2 * _BASE_ROWS + 1)
         seen = dict(zero=0, no_rank=0, after_full=0, one_col=0, tall=0)
+        seen.update({f"rows={n}": 0 for n in sizes})
         for trial in range(60):
             ncols = 1 if trial % 10 == 0 else rng.randint(2, 40)
             target = rng.randint(0, ncols) if trial % 3 else ncols
@@ -278,14 +362,19 @@ class TestModularRREF:
                 [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(target)],
                 dtype=np.int64,
             ).reshape(target, ncols)
+
+            def combinations(nrows):
+                coef = np.array(
+                    [[rng.randint(-3, 3) for _ in range(target)] for _ in range(nrows)],
+                    dtype=np.int64,
+                ).reshape(nrows, target)
+                return coef @ base
+
             nrows = rng.choice((rng.randint(1, 40), rng.randint(129, 300)))
-            coef = np.array(
-                [[rng.randint(-3, 3) for _ in range(target)] for _ in range(nrows)],
-                dtype=np.int64,
-            ).reshape(nrows, target)
-            A = coef @ base
+            A = combinations(nrows)
             cuts = sorted(rng.sample(range(1, nrows), min(nrows - 1, rng.randint(0, 4))))
             blocks = [A[a:b] for a, b in zip([0] + cuts, cuts + [nrows])]
+            blocks.insert(rng.randint(0, len(blocks)), combinations(sizes[trial % 4]))
             zeros = np.zeros((rng.randint(1, 5), ncols), dtype=np.int64)
             blocks.insert(rng.randint(0, len(blocks)), zeros)
             blocks.insert(rng.randint(1, len(blocks)), A[rng.sample(range(nrows), min(nrows, 3))])
@@ -306,7 +395,9 @@ class TestModularRREF:
                 seen["zero"] += not blk.any()
                 seen["no_rank"] += blk.any() and not new
                 seen["after_full"] += was_full
-                seen["tall"] += len(blk) > 128
+                seen["tall"] += len(blk) > _BASE_ROWS
+                if len(blk) in sizes:
+                    seen[f"rows={len(blk)}"] += 1
             seen["one_col"] += ncols == 1
         assert min(seen.values()) >= 3, seen
 
