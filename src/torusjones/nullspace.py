@@ -18,6 +18,8 @@ reference that the tests compare the lifted kernels against.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from fractions import Fraction
 
@@ -117,6 +119,33 @@ class ExactEliminator:
 _BASE_ROWS = 32
 #: Elements per slab of ``_mod``, so that its temporaries stay in cache.
 _SLAB = 1 << 15
+#: glibc's ``mallopt`` parameter M_MMAP_THRESHOLD, and the value that
+#: ``_fix_mmap_threshold`` gives it: 32 MiB, the ceiling of glibc's own
+#: dynamic threshold on 64-bit.
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _fix_mmap_threshold() -> bool:
+    """Fix glibc's malloc mmap threshold, once per process; True if set.
+
+    By default glibc raises the threshold to the size of each larger mmapped
+    block that is freed, up to 32 MiB, and keeps up to twice the threshold
+    of free memory at the top of the heap resident. ``process_block`` frees
+    blocks of a few to a few tens of MB, so which of them stayed resident
+    hung on what the process had freed before, and the peak RSS of the same
+    queries moved by 20 MB with their order, or even with the length of the
+    checkout's path. A fixed threshold turns that adjustment off: smaller
+    blocks are reused from the heap, whose top is trimmed past 128 KiB, and
+    larger ones are unmapped when freed. Without glibc's ``mallopt`` this
+    does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -238,6 +267,7 @@ class ModularRREF:
     """
 
     def __init__(self, ncols: int, p: int):
+        _fix_mmap_threshold()
         self.p = p
         self.ncols = ncols
         self._X = np.zeros((0, ncols))

@@ -1,4 +1,5 @@
 import math
+import platform
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from torusjones.nullspace import (
     _BASE_ROWS,
     _SLAB,
+    _fix_mmap_threshold,
     PRIMES,
     ExactEliminator,
     ModularRREF,
@@ -409,6 +411,15 @@ class TestModularRREF:
         assert float(v) % p == 0
         mr = ModularRREF(1, p)
         assert mr.process_block(np.array([[v]], dtype=dtype)) == 1
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_engine_fixes_the_mmap_threshold(self):
+        # the first engine of a process turns glibc's adaptive threshold
+        # off, which keeps the peak RSS of a run independent of what the
+        # process freed before it
+        ModularRREF(1, PRIMES[0])
+        assert _fix_mmap_threshold.cache_info().currsize == 1
+        assert _fix_mmap_threshold()
 
 
 def exact_eliminator(rows, ncols):
