@@ -58,9 +58,13 @@ DEFAULT_LAST_N = 20
 class Identity:
     """One identity ``verify`` can check.
 
-    ``run(K, n_range)`` returns a list of VerifyReports; n_range is None for
-    a static check. Runners look their callees up when they run, so a
-    wrapper patched over a module attribute sees every call.
+    ``run(K, n_range, reduced)`` returns a list of VerifyReports; n_range is
+    None for a static check. ``reduced`` is shared by the runs of one knot
+    in one ``verify``: the epsilon check stores each operator's
+    ``classical.epsilon_diffs`` there and the p-membership check reads PQ's
+    or R's, so that operator is built and reduced once. Runners look their
+    callees up when they run, so a wrapper patched over a module attribute
+    sees every call.
     """
 
     name: str
@@ -80,21 +84,23 @@ class Identity:
 
 
 def _annihilator(name: str, first_n: int) -> Identity:
-    def run(K, n_range):
+    def run(K, n_range, reduced):
         return [verify_annihilation(build_named(name, K), jones_sequence(K), n_range)]
 
     return Identity(name, OPERATORS[name].family, first_n, run)
 
 
-def _epsilon_checks(K, n_range):
-    return [
-        classical.check_epsilon_factorization(build_named(name, K))
-        for name, facts in OPERATORS.items()
-        if facts.displays is not None and in_family(facts.family, K)
-    ]
+def _epsilon_checks(K, n_range, reduced):
+    reports = []
+    for name, facts in OPERATORS.items():
+        if facts.displays is not None and in_family(facts.family, K):
+            op = build_named(name, K)
+            reduced[name] = classical.epsilon_diffs(op)
+            reports.append(classical.check_epsilon_factorization(op, reduced[name]))
+    return reports
 
 
-def _sigma_checks(K, n_range):
+def _sigma_checks(K, n_range, reduced):
     reports = [
         verify_sigma_fixed(build_named(name, K))
         for name, facts in OPERATORS.items()
@@ -107,17 +113,19 @@ def _sigma_checks(K, n_range):
 # PQ reaches J(n-3) and R reaches J(n-2): their default n-ranges start at the
 # first color where every value consumed has a positive color.
 IDENTITY_TABLE = (
-    Identity("recurrence3", "a>2", 1, lambda K, rng: [verify_recurrence(K, "three_term", rng)]),
-    Identity("recurrence2", "a=2", 1, lambda K, rng: [verify_recurrence(K, "two_term", rng)]),
+    Identity("recurrence3", "a>2", 1, lambda K, rng, _: [verify_recurrence(K, "three_term", rng)]),
+    Identity("recurrence2", "a=2", 1, lambda K, rng, _: [verify_recurrence(K, "two_term", rng)]),
     _annihilator("F", 1),
     _annihilator("G", 1),
     _annihilator("PQ", 4),
     _annihilator("R", 3),
-    Identity("lemmaQ", "a>2", 1, lambda K, rng: [verify_lemma_Q(K, rng)]),
-    Identity("lemmaP", "a>2", 1, lambda K, rng: [verify_lemma_P(K, rng)]),
+    Identity("lemmaQ", "a>2", 1, lambda K, rng, _: [verify_lemma_Q(K, rng)]),
+    Identity("lemmaP", "a>2", 1, lambda K, rng, _: [verify_lemma_P(K, rng)]),
     Identity("epsilon", "any", None, _epsilon_checks),
     Identity("sigma", "any", None, _sigma_checks),
-    Identity("p-membership", "any", None, lambda K, rng: [classical.check_p_membership_powers(K)]),
+    Identity(
+        "p-membership", "any", None, lambda K, rng, reduced: [classical.check_p_membership_powers(K, reduced)]
+    ),
 )
 IDENTITIES = {entry.name: entry for entry in IDENTITY_TABLE}
 
@@ -139,12 +147,13 @@ def parse_range(text: str) -> tuple:
         raise BadParams(f"not a color or range LO..HI: {text!r}") from None
 
 
-def run_check(identity: str, K: TorusKnot, n_range: tuple | None) -> list:
-    """Run one named verification; returns a list of VerifyReports."""
+def run_check(identity: str, K: TorusKnot, n_range: tuple | None, reduced: dict | None = None) -> list:
+    """Run one named verification; returns a list of VerifyReports.
+    ``reduced`` is the ``Identity.run`` dict of K, if other checks of K share it."""
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise BadParams(f"unknown identity {identity!r}")
-    return entry.run(K, n_range)
+    return entry.run(K, n_range, {} if reduced is None else reduced)
 
 
 def cmd_jones(args) -> int:
@@ -193,7 +202,8 @@ def cmd_verify(args) -> int:
             rng = None if entry.static else n_range or entry.default_range(args.full_z)
             jobs.append((entry.name, K, rng))
 
-    reports = [r for ident, K, rng in jobs for r in run_check(ident, K, rng)]
+    reduced = {K: {} for K in knots}
+    reports = [r for ident, K, rng in jobs for r in run_check(ident, K, rng, reduced[K])]
     reports.sort(key=lambda r: (r.a, r.b, r.identity, r.n_from))
     failed = False
     for r in reports:

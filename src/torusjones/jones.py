@@ -9,6 +9,15 @@ where the index runs over a half-integer grid when n is even.  Internally the
 index is doubled (m = 2j runs over integers of fixed parity), which turns the
 exponent into ab*m^2 + 2bm and keeps all arithmetic in integers.  The color is
 extended to all of Z by J(-n) = -J(n), so J(0) = 0.
+
+``colored_jones`` evaluates the sum term by term into a TPoly; it is the
+reference.  ``jones_sequence`` fills each value straight into the dense layout
+that ``QTElem.apply`` reads (``colored_jones_dense``): the summand of m is a
+run of |am+1| equal coefficients, sign(am+1), at every fourth exponent, and
+every run lies on one residue class mod 4.  A difference array on that
+stride-4 lattice takes +sign at each run's first point and -sign one past its
+last (one ``np.add.at`` each); its cumulative sum is J(n).  No cancellation
+reaches either end of the sum's span, so the array needs no trim.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .laurent import TPoly, lambda_poly, quantum_integer
 from .qtorus import DiscreteSeq
@@ -91,14 +102,14 @@ def lowest_degree_formula(K: TorusKnot, n: int) -> int:
 
 
 def g_seq(K: TorusKnot, n: int) -> TPoly:
-    """g(n) = t^{-2abn} (t^2 lambda_{(a+b)n} - t^{-2} lambda_{(a-b)n}) / (t^2 - t^{-2}).
+    """g(n) = t^{-2abn} (t^{2bn} [an+1] - t^{-2bn} [an-1]).
 
-    The division is exact; a NotDivisible escape would be an implementation bug.
+    This is t^{-2abn} (t^2 lambda_{(a+b)n} - t^{-2} lambda_{(a-b)n}) / (t^2 - t^{-2})
+    with the division done by the two quantum integers.
     """
     a, b = K.a, K.b
-    num = lambda_poly((a + b) * n).shift(2) - lambda_poly((a - b) * n).shift(-2)
-    den = TPoly({2: 1, -2: -1})
-    return num.divide_exact(den).shift(-2 * a * b * n)
+    runs = quantum_integer(a * n + 1).shift(2 * b * n) - quantum_integer(a * n - 1).shift(-2 * b * n)
+    return runs.shift(-2 * a * b * n)
 
 
 def h_seq(K: TorusKnot, n: int) -> TPoly:
@@ -108,9 +119,48 @@ def h_seq(K: TorusKnot, n: int) -> TPoly:
     return lambda_poly(c * (n + 1)).shift(2 * a * b * n) - lambda_poly(c * (n - 1)).shift(-2 * a * b * n)
 
 
+#: colors with ab*n^2 at or past this are refused: their exponents would
+#: leave the int64 arithmetic of the dense fill
+_EXPONENT_LIMIT = 1 << 62
+
+
+def colored_jones_dense(K: TorusKnot, n: int):
+    """J(n) as ``qtorus._dense(colored_jones(K, n))`` gives it, filled by a
+    difference array; None for n = 0."""
+    if n == 0:
+        return None
+    if n < 0:
+        lo, stride, arr, vmax = colored_jones_dense(K, -n)
+        return lo, stride, -arr, vmax
+    a, b = K.a, K.b
+    if a * b * n * n >= _EXPONENT_LIMIT:
+        raise BadParams(f"color {n} of {K} has t-exponents past 2^62")
+    m = np.arange(-(n - 1), n, 2, dtype=np.int64)  # m = 2j
+    k = a * m + 1
+    size = np.abs(k)  # [k] is a run from t^{-2(|k|-1)} to t^{2(|k|-1)}
+    first = a * b * m * m + 2 * b * m - 2 * (size - 1)
+    low = int(first.min())
+    start = (first - low) // 4
+    stop = start + size
+    sign = np.sign(k)
+    # Nothing cancels at either end, so the array needs no trim: the lowest
+    # point lies on one run only (m = 0 or m = -1), and the two top points of
+    # the run of m = n - 1 lie above every other run. Those two are adjacent
+    # for n >= 2, so the stride is 4. That last run ends the array, so its
+    # end gets no mark, and the array is allocated at its final length and
+    # summed in place: a second array, or one spare slot, raised the peak
+    # RSS of the kernel search by about 2 MB.
+    diff = np.zeros(int(stop[-1]), dtype=np.int64)
+    np.add.at(diff, start, sign)
+    np.add.at(diff, stop[:-1], -sign[:-1])
+    arr = np.cumsum(diff, out=diff)
+    return low - a * b * (n * n - 1), 4 if n > 1 else 0, arr, int(np.abs(arr).max())
+
+
 def jones_sequence(K: TorusKnot) -> DiscreteSeq:
-    """The colored Jones values of K as a memoized discrete sequence."""
-    return DiscreteSeq(f"J_{K}", functools.partial(colored_jones, K))
+    """The colored Jones values of K as a memoized discrete sequence, filled
+    densely by ``colored_jones_dense``."""
+    return DiscreteSeq.from_dense(f"J_{K}", functools.partial(colored_jones_dense, K))
 
 
 def h_sequence(K: TorusKnot) -> DiscreteSeq:

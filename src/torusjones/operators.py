@@ -19,7 +19,7 @@ import numpy as np
 from .jones import BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
 from .laurent import TPoly, lambda_poly, quantum_integer
 from .nullspace import PRIMES, ModularRREF, combine, prime_supply, reconstruct_vector
-from .qtorus import DiscreteSeq, QTElem, _dense, acted
+from .qtorus import DiscreteSeq, QTElem, acted
 
 
 class WrongCase(ValueError):
@@ -425,9 +425,9 @@ def _sweep_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> VerifyR
 
 class _ColorBlock(NamedTuple):
     """The constraint rows of one color n: row i is the coefficient of
-    t^(beta_min + 2i). values[j] is J(n+j) in the dense layout of
-    ``qtorus._dense`` (the same tuple for every color that reads J(n+j)), or
-    None when J(n+j) is zero."""
+    t^(beta_min + 2i). values[j] is J(n+j) as ``DiscreteSeq.dense`` gives
+    it (the cached tuple, shared by every color that reads J(n+j)), or None
+    when J(n+j) is zero."""
 
     n: int
     values: list
@@ -437,12 +437,12 @@ class _ColorBlock(NamedTuple):
 
 def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
     """The block geometry of every color in n_range; None for a color whose
-    values J(n), ..., J(n + l_degree) are all zero. Each J(m) is fetched and
-    laid out once."""
+    values J(n), ..., J(n + l_degree) are all zero. Each J(m) is read once
+    from the sequence's dense cache."""
     nlo, nhi = n_range
     dense = {}
     for m in range(nlo, nhi + l_degree + 1):
-        v = dense[m] = _dense(jser(m))
+        v = dense[m] = jser.dense(m)
         if v is not None and (v[0] % 2 or v[1] % 2):
             raise AssertionError("colored Jones support is not on the even t-exponents")
     blocks = []

@@ -15,12 +15,18 @@ extended bilinearly.  The involution sigma negates the (k, l) exponents of
 normal-form monomials and the reduction epsilon sets t = -1, landing in the
 commutative ring of (M, L) Laurent polynomials.
 
-``QTElem.apply`` computes the action densely: each f(n+l) becomes an array on
-the lattice of its exponents and every monomial of every term adds a scaled
-copy into one accumulator.  Before allocating, it bounds every output
-coefficient by sum |c| * max|f(n+l)| over the contributions; the accumulator
-is int64 when that bound is below 2^62 and a numpy object array of Python
-ints otherwise, so the action is exact for any coefficient size.
+A ``DiscreteSeq`` caches each value once in a dense layout: the lowest
+exponent, the stride of the exponent lattice, the coefficient array on that
+lattice and the largest |coefficient|.  The colored Jones sequence is filled
+in this layout directly; a sequence whose rule gives ``TPoly`` values (h,
+``acted``, test tables) goes through ``_dense``, the one adapter.
+
+``QTElem.apply`` computes the action on those arrays: every monomial of every
+term adds a scaled copy of f(n+l) into one accumulator.  Before allocating,
+it bounds every output coefficient by sum |c| * max|f(n+l)| over the
+contributions; the accumulator is int64 when that bound is below 2^62 and a
+numpy object array of Python ints otherwise, so the action is exact for any
+coefficient size.
 """
 
 from __future__ import annotations
@@ -125,20 +131,21 @@ class QTElem(SparseRing):
                 out[(k, l)] = v
         return MLPoly(out)
 
-    def apply(self, f: Callable[[int], TPoly], n: int) -> TPoly:
+    def apply(self, f: "DiscreteSeq", n: int) -> TPoly:
         """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l).
 
-        Each distinct f(n+l) is fetched once and laid out densely; every
-        monomial c t^e of a_{k,l} then adds c times that array into one
-        accumulator at exponent e + 2kn + (lowest exponent of f(n+l)). The
-        accumulator is int64 when the bound sum |c| * max|f(n+l)| over all
-        contributions is below 2^62, and a Python-int object array otherwise,
-        so the result is exact either way.
+        Each distinct f(n+l) is read once from the sequence's cache, already
+        dense (``DiscreteSeq.dense``); every monomial c t^e of a_{k,l} then
+        adds c times that array into one accumulator at exponent
+        e + 2kn + (lowest exponent of f(n+l)). The accumulator is int64 when
+        the bound sum |c| * max|f(n+l)| over all contributions is below 2^62,
+        and a Python-int object array otherwise, so the result is exact
+        either way.
         """
         values = {}
         for (_k, l) in self.terms:
             if l not in values:
-                values[l] = _dense(f(n + l))
+                values[l] = f.dense(n + l)
         # contributions that land on the same array at the same offset add up
         coeffs: dict = {}
         for (k, l), c in self.terms.items():
@@ -168,8 +175,7 @@ class QTElem(SparseRing):
             off = (start - base) // step
             gap = stride // step or 1
             acc[off : off + gap * (len(arr) - 1) + 1 : gap] += c * arr.astype(dtype, copy=False)
-        nz = np.flatnonzero(acc)
-        return TPoly._wrap(dict(zip((nz * step + base).tolist(), acc[nz].tolist())))
+        return _sparse(base, step, acc)
 
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
@@ -183,7 +189,9 @@ def _dense(v: TPoly):
     """v as (lowest exponent, stride, coefficient array, max |coefficient|),
     or None when v is zero. The stride is the gcd of the exponent gaps (0 for
     a single term); the array holds every lattice point from the lowest to
-    the highest exponent. Coefficients outside int64 give an object array."""
+    the highest exponent. Coefficients outside int64 give an object array.
+
+    This is the adapter for sequences whose rule gives TPolys."""
     if not v.terms:
         return None
     size = len(v.terms)
@@ -200,26 +208,47 @@ def _dense(v: TPoly):
     return lo, stride, arr, max(int(vals.max()), -int(vals.min()))
 
 
-class DiscreteSeq:
-    """A memoized total function Z -> TPoly with a printable rule name.
+def _sparse(lo: int, stride: int, arr: np.ndarray) -> TPoly:
+    """The TPoly whose coefficient of t^(lo + stride*i) is arr[i]."""
+    nz = np.flatnonzero(arr)
+    return TPoly._wrap(dict(zip((nz * stride + lo).tolist(), arr[nz].tolist())))
 
-    The cache makes repeated verification sweeps over overlapping windows
-    cheap; evaluation is deterministic, so caching never changes semantics.
+
+class DiscreteSeq:
+    """A memoized total function Z -> Z[t^{+-1}] with a printable rule name.
+
+    The cache holds each value once, in the dense layout of ``_dense`` (None
+    for zero). ``dense(n)`` reads it, as ``QTElem.apply`` does; calling the
+    sequence builds the TPoly. ``fn`` gives TPoly values and goes through the
+    ``_dense`` adapter; ``from_dense`` takes a rule that gives the layout
+    itself. Evaluation is deterministic, so caching never changes semantics.
     """
 
-    __slots__ = ("name", "_fn", "_cache")
+    __slots__ = ("name", "_fill", "_cache")
 
     def __init__(self, name: str, fn: Callable[[int], TPoly]):
         self.name = name
-        self._fn = fn
+        self._fill = lambda n: _dense(fn(n))
         self._cache: dict = {}
 
-    def __call__(self, n: int) -> TPoly:
-        v = self._cache.get(n)
-        if v is None:
-            v = self._fn(n)
-            self._cache[n] = v
+    @classmethod
+    def from_dense(cls, name: str, fill: Callable[[int], tuple | None]) -> "DiscreteSeq":
+        seq = cls.__new__(cls)
+        seq.name, seq._fill, seq._cache = name, fill, {}
+        return seq
+
+    def dense(self, n: int) -> tuple | None:
+        """f(n) as (lowest exponent, stride, coefficient array, max |coefficient|),
+        or None when f(n) is zero."""
+        cache = self._cache
+        if n in cache:
+            return cache[n]
+        v = cache[n] = self._fill(n)
         return v
+
+    def __call__(self, n: int) -> TPoly:
+        v = self.dense(n)
+        return TPoly.zero() if v is None else _sparse(*v[:3])
 
     def __repr__(self) -> str:
         return f"DiscreteSeq({self.name!r})"

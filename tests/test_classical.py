@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from torusjones import classical, cli
 from torusjones.classical import (
     a_polynomial,
     a_prime,
@@ -9,6 +10,7 @@ from torusjones.classical import (
     check_epsilon_factorization,
     check_p_membership_powers,
     divides,
+    epsilon_diffs,
     factorizations,
     sigma_comm,
 )
@@ -155,6 +157,26 @@ class TestPowerMembership:
         assert check_p_membership_powers(K34).passed
         assert check_p_membership_powers(K23).passed
         assert check_p_membership_powers(TorusKnot(2, 5)).passed
+
+    def test_reads_the_epsilon_reduction_it_is_given(self):
+        # a wrong shared difference must fail the check, so it is the one read
+        for K, name in ((K34, "PQ"), (K23, "R")):
+            diffs = epsilon_diffs(build_named(name, K))
+            assert check_p_membership_powers(K, {name: diffs}).passed
+            report = check_p_membership_powers(K, {name: [MLPoly.L_pow(1)] + diffs[1:]})
+            assert (report.status, report.residual) == ("fail", "L")
+
+    @pytest.mark.parametrize("ab", [(3, 4), (2, 3)], ids=["PQ", "R"])
+    def test_verify_all_builds_no_second_operator(self, monkeypatch, capsys, ab):
+        calls = []
+        for name in ("build_PQ", "build_R"):
+            builder = getattr(classical, name)
+            monkeypatch.setattr(classical, name, lambda *args, _b=builder: calls.append(args) or _b(*args))
+        assert cli.main(["verify", "all", "-a", str(ab[0]), "-b", str(ab[1]), "--json"]) == 0
+        assert '"identity": "p-membership"' in capsys.readouterr().out
+        assert calls == []
+        assert cli.main(["verify", "p-membership", "-a", str(ab[0]), "-b", str(ab[1])]) == 0
+        assert len(calls) == 1
 
 
 class TestAPrimeSigma:

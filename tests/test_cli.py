@@ -111,7 +111,7 @@ class TestVerifyCommand:
                 "sigma(A')", "p-membership"} <= idents
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        def fake(identity, K, n_range):
+        def fake(identity, K, n_range, reduced=None):
             return [VerifyReport(identity, K.a, K.b, *n_range, "fail", 2, "t")]
 
         monkeypatch.setattr(cli, "run_check", fake)
@@ -154,7 +154,7 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
-        def broken(identity, K, n_range):
+        def broken(identity, K, n_range, reduced=None):
             raise NotDivisible("remainder left over")
 
         monkeypatch.setattr(cli, "run_check", broken)

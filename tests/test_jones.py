@@ -1,15 +1,24 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusjones.jones import (
     SUITE_KNOTS,
     BadParams,
     TorusKnot,
     colored_jones,
+    colored_jones_dense,
     g_seq,
     h_seq,
+    jones_sequence,
     lowest_degree_formula,
 )
 from torusjones.laurent import TPoly, lambda_poly, quantum_integer
+from torusjones.operators import build_PQ, verify_annihilation
+from torusjones.qtorus import _dense
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -60,6 +69,53 @@ class TestColoredJones:
                 assert all(e % 2 == 0 for e in colored_jones(K, n).terms)
 
 
+def assert_same_layout(K, n):
+    """The dense fill of J(n) equals the sum's value laid out by ``_dense``,
+    field by field: lowest exponent, stride, array (dtype and entries) and
+    max |coefficient|."""
+    got, expected = colored_jones_dense(K, n), _dense(colored_jones(K, n))
+    if expected is None:
+        assert got is None, (str(K), n)
+        return
+    assert got[0] == expected[0] and got[1] == expected[1] and got[3] == expected[3], (str(K), n)
+    assert got[2].dtype == expected[2].dtype and np.array_equal(got[2], expected[2]), (str(K), n)
+
+
+class TestDenseFill:
+    @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
+    def test_matches_sum_on_suite(self, K):
+        for n in range(-70, 71):
+            assert_same_layout(K, n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 12)
+        .flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 13)))
+        .filter(lambda ab: math.gcd(*ab) == 1),
+        st.integers(-40, 40),
+    )
+    def test_matches_sum_on_random_knots(self, ab, n):
+        assert_same_layout(TorusKnot(*ab), n)
+
+    def test_sequence_values_are_the_sum(self):
+        seq = jones_sequence(K34)
+        for n in range(-12, 13):
+            assert seq(n) == colored_jones(K34, n)
+
+    def test_sweep_leaves_no_tpoly_in_the_cache(self):
+        seq = jones_sequence(TorusKnot(5, 7))
+        assert verify_annihilation(build_PQ(5, 7), seq, (4, 60)).passed
+        cache = seq._cache
+        assert sorted(cache) == list(range(-2, 67))  # PQ reaches L^-6 .. L^6
+        assert cache.pop(0) is None
+        assert all(isinstance(v, tuple) and isinstance(v[2], np.ndarray) for v in cache.values())
+
+    def test_colors_past_the_int64_exponents_are_refused(self):
+        for n in (2**30, -(2**30)):
+            with pytest.raises(BadParams, match="past 2\\^62"):
+                colored_jones_dense(K23, n)
+
+
 class TestLowestDegree:
     def test_examples(self):
         assert lowest_degree_formula(K34, 1) == 0
@@ -85,6 +141,13 @@ class TestAuxSequences:
         num = lambda_poly(7).shift(2) - lambda_poly(-1).shift(-2)
         expected = num.divide_exact(TPoly({2: 1, -2: -1})).shift(-24)
         assert g_seq(K34, 1) == expected
+
+    @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
+    def test_g_matches_the_division_form(self, K):
+        den = TPoly({2: 1, -2: -1})
+        for n in range(-30, 31):
+            num = lambda_poly((K.a + K.b) * n).shift(2) - lambda_poly((K.a - K.b) * n).shift(-2)
+            assert g_seq(K, n) == num.divide_exact(den).shift(-2 * K.a * K.b * n), (str(K), n)
 
     def test_g_recurrence_consistency(self, jcache):
         seq = jcache(K34)
