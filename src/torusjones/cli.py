@@ -58,13 +58,13 @@ DEFAULT_LAST_N = 20
 class Identity:
     """One identity ``verify`` can check.
 
-    ``run(K, n_range, reduced)`` returns a list of VerifyReports; n_range is
-    None for a static check. ``reduced`` is shared by the runs of one knot
-    in one ``verify``: the epsilon check stores each operator's
-    ``classical.epsilon_diffs`` there and the p-membership check reads PQ's
-    or R's, so that operator is built and reduced once. Runners look their
-    callees up when they run, so a wrapper patched over a module attribute
-    sees every call.
+    ``run(K, n_range, reduced, jser)`` returns a list of VerifyReports;
+    n_range is None for a static check. One ``verify`` shares ``reduced``
+    and ``jser``, the colored Jones sequence of K, among the runs of K: each
+    J(n) is filled once, and PQ or R is built and reduced once, since the
+    epsilon check stores ``classical.epsilon_diffs`` in ``reduced`` for the
+    p-membership check. Runners look their callees up when they run, so a
+    wrapper patched over a module attribute sees every call.
     """
 
     name: str
@@ -84,13 +84,13 @@ class Identity:
 
 
 def _annihilator(name: str, first_n: int) -> Identity:
-    def run(K, n_range, reduced):
-        return [verify_annihilation(build_named(name, K), jones_sequence(K), n_range)]
+    def run(K, n_range, reduced, jser):
+        return [verify_annihilation(build_named(name, K), jser, n_range)]
 
     return Identity(name, OPERATORS[name].family, first_n, run)
 
 
-def _epsilon_checks(K, n_range, reduced):
+def _epsilon_checks(K, n_range, reduced, jser):
     reports = []
     for name, facts in OPERATORS.items():
         if facts.displays is not None and in_family(facts.family, K):
@@ -100,7 +100,7 @@ def _epsilon_checks(K, n_range, reduced):
     return reports
 
 
-def _sigma_checks(K, n_range, reduced):
+def _sigma_checks(K, n_range, reduced, jser):
     reports = [
         verify_sigma_fixed(build_named(name, K))
         for name, facts in OPERATORS.items()
@@ -113,18 +113,18 @@ def _sigma_checks(K, n_range, reduced):
 # PQ reaches J(n-3) and R reaches J(n-2): their default n-ranges start at the
 # first color where every value consumed has a positive color.
 IDENTITY_TABLE = (
-    Identity("recurrence3", "a>2", 1, lambda K, rng, _: [verify_recurrence(K, "three_term", rng)]),
-    Identity("recurrence2", "a=2", 1, lambda K, rng, _: [verify_recurrence(K, "two_term", rng)]),
+    Identity("recurrence3", "a>2", 1, lambda K, rng, _, J: [verify_recurrence(K, "three_term", J, rng)]),
+    Identity("recurrence2", "a=2", 1, lambda K, rng, _, J: [verify_recurrence(K, "two_term", J, rng)]),
     _annihilator("F", 1),
     _annihilator("G", 1),
     _annihilator("PQ", 4),
     _annihilator("R", 3),
-    Identity("lemmaQ", "a>2", 1, lambda K, rng, _: [verify_lemma_Q(K, rng)]),
-    Identity("lemmaP", "a>2", 1, lambda K, rng, _: [verify_lemma_P(K, rng)]),
+    Identity("lemmaQ", "a>2", 1, lambda K, rng, _, J: [verify_lemma_Q(K, J, rng)]),
+    Identity("lemmaP", "a>2", 1, lambda K, rng, *_: [verify_lemma_P(K, rng)]),
     Identity("epsilon", "any", None, _epsilon_checks),
     Identity("sigma", "any", None, _sigma_checks),
     Identity(
-        "p-membership", "any", None, lambda K, rng, reduced: [classical.check_p_membership_powers(K, reduced)]
+        "p-membership", "any", None, lambda K, rng, reduced, _: [classical.check_p_membership_powers(K, reduced)]
     ),
 )
 IDENTITIES = {entry.name: entry for entry in IDENTITY_TABLE}
@@ -147,13 +147,13 @@ def parse_range(text: str) -> tuple:
         raise BadParams(f"not a color or range LO..HI: {text!r}") from None
 
 
-def run_check(identity: str, K: TorusKnot, n_range: tuple | None, reduced: dict | None = None) -> list:
+def run_check(identity: str, K: TorusKnot, n_range: tuple | None, reduced: dict, jser) -> list:
     """Run one named verification; returns a list of VerifyReports.
-    ``reduced`` is the ``Identity.run`` dict of K, if other checks of K share it."""
+    ``reduced`` and ``jser`` are K's shared ``Identity.run`` arguments."""
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise BadParams(f"unknown identity {identity!r}")
-    return entry.run(K, n_range, {} if reduced is None else reduced)
+    return entry.run(K, n_range, reduced, jser)
 
 
 def cmd_jones(args) -> int:
@@ -192,18 +192,16 @@ def cmd_verify(args) -> int:
     entries = IDENTITY_TABLE if args.identity == "all" else (IDENTITIES[args.identity],)
     n_range = parse_range(args.n) if args.n else None
 
-    jobs = []  # (identity, K, n_range or None for a static check)
+    reports = []
     for K in knots:
+        reduced, jser = {}, jones_sequence(K)  # K's checks share them; dropped after K
         for entry in entries:
             if not entry.applies(K):
                 if not args.suite and args.identity != "all":
                     raise WrongCase(f"identity {entry.name} does not apply to {K}")
                 continue
             rng = None if entry.static else n_range or entry.default_range(args.full_z)
-            jobs.append((entry.name, K, rng))
-
-    reduced = {K: {} for K in knots}
-    reports = [r for ident, K, rng in jobs for r in run_check(ident, K, rng, reduced[K])]
+            reports += run_check(entry.name, K, rng, reduced, jser)
     reports.sort(key=lambda r: (r.a, r.b, r.identity, r.n_from))
     failed = False
     for r in reports:

@@ -291,21 +291,32 @@ def verify_annihilation(op: NamedOperator, f: DiscreteSeq, n_range: tuple) -> Ve
     return sweep(op.name, op.a, op.b, n_range, functools.partial(op.element.apply, f))
 
 
-def verify_lemma_Q(K: TorusKnot, n_range: tuple) -> VerifyReport:
-    """Denominator-cleared form: (t^2 - t^{-2}) (Q J)(n) equals
-    t^{2ab-2} (lambda_{a+b} - lambda_{a-b}) h(n).
+def recurrence_operator(K: TorusKnot) -> QTElem:
+    """The operator D of K's inhomogeneous recurrence: L^2 - t^{-4ab} M^{-2ab}
+    for a > 2 and L + t^{-2b} M^{-2b} for a = 2. (D J)(n) is a closed form in
+    t and t^{2n} (``verify_recurrence``). epsilon(D) is M^{-2ab} (L^2 M^{2ab} - 1),
+    resp. M^{-2b} (L M^{2b} + 1): a unit times the nonabelian factor of A_K.
+
+    >>> str(recurrence_operator(TorusKnot(2, 3)).epsilon())
+    'M^-6 + L'
+    """
+    a, b = K.a, K.b
+    if a == 2:
+        return QTElem.L_pow(1) + QTElem.monomial(TPoly({-2 * b: 1}), -2 * b, 0)
+    return QTElem.L_pow(2) - QTElem.monomial(TPoly({-4 * a * b: 1}), -2 * a * b, 0)
+
+
+def verify_lemma_Q(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+    """Denominator-cleared form: ((t^2 - t^{-2}) Q) J (n) equals
+    t^{2ab-2} (lambda_{a+b} - lambda_{a-b}) h(n), for J = jser.
 
     The t^{2ab-2} scalar is the one the exact computation forces; it is
     constant in n and uniform across knots.
     """
     a, b = K.a, K.b
-    q = build_Q(a, b)
-    jser = jones_sequence(K)
-    den = TPoly({2: 1, -2: -1})
+    cleared = TPoly({2: 1, -2: -1}) * build_Q(a, b).element
     factor = (lambda_poly(a + b) - lambda_poly(a - b)).shift(2 * a * b - 2)
-    return sweep(
-        "lemmaQ", a, b, n_range, lambda n: den * q.element.apply(jser, n) - factor * h_seq(K, n)
-    )
+    return sweep("lemmaQ", a, b, n_range, lambda n: cleared.apply(jser, n) - factor * h_seq(K, n))
 
 
 def verify_lemma_P(K: TorusKnot, n_range: tuple) -> VerifyReport:
@@ -314,29 +325,22 @@ def verify_lemma_P(K: TorusKnot, n_range: tuple) -> VerifyReport:
     return replace(report, identity="lemmaP")
 
 
-def verify_recurrence(K: TorusKnot, which: str, n_range: tuple) -> VerifyReport:
-    """Check the three-term (a,b > 2) or two-term (a = 2) recurrence exactly."""
+def verify_recurrence(K: TorusKnot, which: str, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+    """Check (D J)(n) = rhs(n) exactly for D = ``recurrence_operator(K)``, J = jser:
+    rhs(n) is g(n+1) for a > 2 (three_term), t^{-2bn} [2n+1] for a = 2 (two_term)."""
     a, b = K.a, K.b
-    jser = jones_sequence(K)
     if which == "three_term":
         if a == 2:
             raise WrongCase(f"three-term recurrence needs a > 2, got {K}")
-        return sweep(
-            "recurrence3", a, b, n_range,
-            lambda n: jser(n + 2) - jser(n).shift(-4 * a * b * (n + 1)) - g_seq(K, n + 1),
-        )
-    if which == "two_term":
+        name, rhs = "recurrence3", lambda n: g_seq(K, n + 1)
+    elif which == "two_term":
         if a != 2:
             raise WrongCase(f"two-term recurrence needs a = 2, got {K}")
-        return sweep(
-            "recurrence2", a, b, n_range,
-            lambda n: (
-                jser(n + 1)
-                + jser(n).shift(-(4 * n + 2) * b)
-                - quantum_integer(2 * n + 1).shift(-2 * n * b)
-            ),
-        )
-    raise ValueError(f"unknown recurrence kind {which!r}")
+        name, rhs = "recurrence2", lambda n: quantum_integer(2 * n + 1).shift(-2 * n * b)
+    else:
+        raise ValueError(f"unknown recurrence kind {which!r}")
+    D = recurrence_operator(K)
+    return sweep(name, a, b, n_range, lambda n: D.apply(jser, n) - rhs(n))
 
 
 def verify_sigma_fixed(op: NamedOperator) -> VerifyReport:
@@ -346,12 +350,11 @@ def verify_sigma_fixed(op: NamedOperator) -> VerifyReport:
     return check_report(f"sigma({op.name})", op.a, op.b, diff)
 
 
-def verify_pq_consistency(K: TorusKnot, n_range: tuple) -> VerifyReport:
-    """(PQ) J agrees with P applied to the sequence n -> (Q J)(n)."""
+def verify_pq_consistency(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+    """(PQ) J agrees with P applied to the sequence n -> (Q J)(n), for J = jser."""
     p = build_P(K.a, K.b)
     q = build_Q(K.a, K.b)
     pq = build_PQ(K.a, K.b)
-    jser = jones_sequence(K)
     qj = acted(q.element, jser, "QJ")
     return sweep(
         "pq-consistency", K.a, K.b, n_range,
@@ -486,33 +489,33 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> 
 def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
     """Rank, kernel basis, rows fed and prime (None when exact) of one parity class.
 
-    Both methods run ``ModularRREF`` engines: ``modular`` tries five
-    one-prime supplies from ``PRIMES`` in turn, ``exact`` has the one supply
-    ``prime_supply()``. The engines of a supply are fed the colors in order.
-    The search stops at full rank or when the kernel verifies at a
-    checkpoint: a color from the second on that adds no rank at nullity at
-    most MAX_CANDIDATE_NULLITY, or the end of n_range. There the kernel is
-    lifted over the primes ``combine`` keeps and swept over n_range. A failed
-    lift, or a failure at a color already fed, adds an engine at the
-    supply's next prime, fed the colors so far, and lifts again (with no
-    prime left: keep feeding, or after the last color try the next supply).
-    A first failure at a later color means keep feeding: candidates that
-    pass the fed colors are the rational kernel of those rows, since they
-    are independent and as many as the nullity mod p, which is at least the
-    rational one. So ``exact`` stops where elimination over Q stops, unless a
-    prime divides a minor of the fed rows: that can move the stop, never the
-    kernel.
+    Both methods run ``ModularRREF`` engines, fed the colors in order, at
+    the primes of one supply: ``PRIMES[0]`` alone for ``modular``,
+    ``prime_supply()`` for ``exact``. The search stops at full rank or when
+    the kernel verifies at a checkpoint: a color from the second on that
+    adds no rank at nullity at most MAX_CANDIDATE_NULLITY, or the end of
+    n_range. There the kernel is lifted over the primes ``combine`` keeps
+    and swept over n_range. A failed lift, or a failure at a color already
+    fed, adds an engine at the supply's next prime, fed the colors so far,
+    and lifts again (with no prime left: keep feeding). A first failure at
+    a later color means keep feeding: candidates that pass the fed colors
+    are the rational kernel of those rows, since they are independent and
+    as many as the nullity mod p, which is at least the rational one. So
+    ``exact`` stops where elimination over Q stops, unless a prime divides
+    a minor of the fed rows: that can move the stop, never the kernel.
 
     A modular nullity above the limit after the last color raises
     Underdetermined at once: another prime changes the rank only if this one
-    divides a minor. Failure at every prime raises BadParams: the kernel's
-    rationals are past the one-prime bound, which ``exact`` passes.
+    divides a minor. A failure after the last color raises BadParams: the
+    kernel's rationals are past the one-prime bound, which ``exact`` passes;
+    another prime of the same size would fail the same way.
     """
     mwidth, lwidth = m_degree + 1, l_degree + 1
     ncols = len(slots) * mwidth * lwidth
-    engines, fed = [], []  # of the current supply
+    supply = prime_supply() if method == "exact" else iter(PRIMES[:1])
+    engines, fed = [], []
 
-    def draw(supply) -> bool:
+    def draw() -> bool:
         """Add an engine at the supply's next prime, fed every color so far."""
         p = next(supply, None)
         if p is None:
@@ -522,7 +525,7 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
             engines[-1].process_block(_color_matrix(block, slots, mwidth, lwidth))
         return True
 
-    def kernel(supply, last_n):
+    def kernel(last_n):
         """The lifted kernel if it verifies on n_range, else None."""
         while True:
             engines[:], residues, m = combine(engines)
@@ -537,44 +540,41 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
                     return vecs
                 if n > last_n:
                     return None
-            if not draw(supply):
+            if not draw():
                 return None
 
     def found(vecs):
         prime = None if method == "exact" else engines[0].p
         return ncols - len(vecs), vecs, sum(block.width for block in fed), prime
 
-    supplies = [prime_supply()] if method == "exact" else [iter((p,)) for p in PRIMES]
-    for supply in supplies:
-        del engines[:], fed[:]
-        draw(supply)
-        for gi, block in enumerate(blocks):
-            if block is None:
-                continue
-            before = max(e.rank for e in engines)
-            for e in engines:  # a temporary each: binding it to a name raised peak RSS
-                e.process_block(_color_matrix(block, slots, mwidth, lwidth))
-            fed.append(block)
-            rank = max(e.rank for e in engines)
-            if rank == ncols:
-                return found([])
-            if gi >= 1 and rank == before and ncols - rank <= MAX_CANDIDATE_NULLITY:
-                vecs = kernel(supply, block.n)
-                if vecs is not None:
-                    return found(vecs)
-        nullity = ncols - max(e.rank for e in engines)
-        if method == "modular" and nullity > MAX_CANDIDATE_NULLITY:
-            raise Underdetermined(
-                f"modular kernel nullity {nullity} is above "
-                f"{MAX_CANDIDATE_NULLITY} after the last color; "
-                "widen n_range or use the exact method"
-            )
-        vecs = kernel(supply, n_range[1])
-        if vecs is not None:
-            return found(vecs)
+    draw()
+    for gi, block in enumerate(blocks):
+        if block is None:
+            continue
+        before = max(e.rank for e in engines)
+        for e in engines:  # a temporary each: binding it to a name raised peak RSS
+            e.process_block(_color_matrix(block, slots, mwidth, lwidth))
+        fed.append(block)
+        rank = max(e.rank for e in engines)
+        if rank == ncols:
+            return found([])
+        if gi >= 1 and rank == before and ncols - rank <= MAX_CANDIDATE_NULLITY:
+            vecs = kernel(block.n)
+            if vecs is not None:
+                return found(vecs)
+    nullity = ncols - max(e.rank for e in engines)
+    if method == "modular" and nullity > MAX_CANDIDATE_NULLITY:
+        raise Underdetermined(
+            f"modular kernel nullity {nullity} is above "
+            f"{MAX_CANDIDATE_NULLITY} after the last color; "
+            "widen n_range or use the exact method"
+        )
+    vecs = kernel(n_range[1])
+    if vecs is not None:
+        return found(vecs)
     raise BadParams(
-        "modular kernel candidates failed reconstruction or verification at every prime; "
-        "use the exact method"
+        "modular kernel candidates failed reconstruction or verification at "
+        f"the prime {PRIMES[0]}; use the exact method"
     )
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import torusjones
-from torusjones import cli, operators
+from torusjones import cli, jones, operators
 from torusjones.jones import BadParams
 from torusjones.laurent import NotDivisible
 from torusjones.operators import VerifyReport
@@ -110,8 +111,30 @@ class TestVerifyCommand:
         assert {"recurrence2", "G", "R", "epsilon(G)", "epsilon(R)", "sigma(R)",
                 "sigma(A')", "p-membership"} <= idents
 
+    def test_suite_fills_each_colored_jones_value_once(self, capsys, monkeypatch):
+        # a fill is a call from a sequence's cache; the call for a negative
+        # color -n computes J(n) inside itself, so nested calls are not fills
+        fills = collections.Counter()
+        active = []
+        fill = jones.colored_jones_dense
+
+        def counting(K, n):
+            if not active:
+                fills[K, n] += 1
+            active.append(n)
+            try:
+                return fill(K, n)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(jones, "colored_jones_dense", counting)
+        code, _, _ = run(capsys, "verify", "all", "--suite", "--json")
+        assert code == 0
+        assert [pair for pair, count in fills.items() if count > 1] == []
+        assert len(fills) == 182
+
     def test_failure_exits_1(self, capsys, monkeypatch):
-        def fake(identity, K, n_range, reduced=None):
+        def fake(identity, K, n_range, *shared):
             return [VerifyReport(identity, K.a, K.b, *n_range, "fail", 2, "t")]
 
         monkeypatch.setattr(cli, "run_check", fake)
@@ -154,7 +177,7 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
-        def broken(identity, K, n_range, reduced=None):
+        def broken(identity, K, n_range, *shared):
             raise NotDivisible("remainder left over")
 
         monkeypatch.setattr(cli, "run_check", broken)
@@ -172,7 +195,7 @@ class TestExitCodes:
         assert proc.wait(timeout=300) == 141
         assert err == b""
 
-    def test_failed_modular_lift_exits_2_after_every_prime(self, capsys, monkeypatch):
+    def test_failed_modular_lift_exits_2_after_one_prime(self, capsys, monkeypatch):
         # the exact kernel (dimension 11) has coefficients past the
         # single-prime reconstruction bound sqrt(p/2), so no prime lifts it
         built = []
@@ -191,7 +214,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert "use the exact method" in err
-        assert built == list(operators.PRIMES)
+        assert built == [operators.PRIMES[0]]
 
 
 class TestReduceCommand:

@@ -2,12 +2,15 @@ import warnings
 
 import pytest
 
-from torusjones.jones import BadParams, TorusKnot, h_sequence, jones_sequence
-from torusjones.laurent import TPoly
+from torusjones import operators
+from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
+from torusjones.laurent import MLPoly, TPoly, quantum_integer
 from torusjones.operators import (
     KernelQuery,
+    NamedOperator,
     SystemTooLarge,
     WrongCase,
+    a_polynomial_text,
     build_F,
     build_G,
     build_P,
@@ -17,6 +20,7 @@ from torusjones.operators import (
     build_named,
     matches_up_to_unit,
     minimality_kernel,
+    recurrence_operator,
     verify_annihilation,
     verify_lemma_P,
     verify_lemma_Q,
@@ -24,7 +28,7 @@ from torusjones.operators import (
     verify_recurrence,
     verify_sigma_fixed,
 )
-from torusjones.qtorus import QTElem
+from torusjones.qtorus import QTElem, parse
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -96,14 +100,10 @@ class TestAnnihilation:
         assert rep.passed
 
     def test_zero_operator_passes(self, jcache):
-        from torusjones.operators import NamedOperator
-
         zero = NamedOperator("F", 3, 4, QTElem.zero())
         assert verify_annihilation(zero, jcache(K34), (1, 5)).passed
 
     def test_perturbed_G_fails_with_witness(self, jcache):
-        from torusjones.operators import NamedOperator
-
         g = build_G(3)
         bad = NamedOperator("G", 2, 3, g.element + QTElem.one())
         rep = verify_annihilation(bad, jcache(K23), (1, 5))
@@ -112,10 +112,26 @@ class TestAnnihilation:
         assert rep.residual
 
 
+def assert_fails_at_first_color(report):
+    assert not report.passed
+    assert report.witness_n == 1
+    assert report.residual
+
+
 class TestLemmas:
-    def test_lemma_Q_including_negative_colors(self):
-        assert verify_lemma_Q(K34, (-5, 15)).passed
-        assert verify_lemma_Q(TorusKnot(4, 5), (1, 8)).passed
+    def test_lemma_Q_including_negative_colors(self, jcache):
+        assert verify_lemma_Q(K34, jcache(K34), (-5, 15)).passed
+        assert verify_lemma_Q(TorusKnot(4, 5), jcache(TorusKnot(4, 5)), (1, 8)).passed
+
+    def test_perturbed_Q_fails(self, monkeypatch, jcache):
+        q = build_Q(3, 4)
+        bad = NamedOperator("Q", 3, 4, q.element + QTElem.t_pow(2))
+        monkeypatch.setattr(operators, "build_Q", lambda a, b: bad)
+        assert_fails_at_first_color(verify_lemma_Q(K34, jcache(K34), (1, 6)))
+
+    def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache):
+        monkeypatch.setattr(operators, "h_seq", lambda K, n: h_seq(K, n + 1))
+        assert_fails_at_first_color(verify_lemma_Q(K34, jcache(K34), (1, 6)))
 
     def test_lemma_P(self):
         assert verify_lemma_P(K34, (-5, 15)).passed
@@ -125,18 +141,52 @@ class TestLemmas:
         assert p.element.apply(h_sequence(K34), 5).is_zero()
 
 
+#: a knot of each recurrence, and a patch of ``operators`` that turns the
+#: recurrence's right-hand side rhs(n) into rhs(n+1): g(n+1) becomes g(n+2),
+#: and t^{-2bn} [2n+1] becomes t^{-2b(n+1)} [2n+3]
+RECURRENCES = {
+    "three_term": (K34, "g_seq", lambda K, n: g_seq(K, n + 1)),
+    "two_term": (TorusKnot(2, 5), "quantum_integer", lambda k: quantum_integer(k + 2).shift(-2 * 5)),
+}
+
+
 class TestRecurrences:
-    def test_three_term(self):
-        assert verify_recurrence(K34, "three_term", (1, 12)).passed
+    def test_three_term(self, jcache):
+        assert verify_recurrence(K34, "three_term", jcache(K34), (1, 12)).passed
 
-    def test_two_term(self):
-        assert verify_recurrence(TorusKnot(2, 5), "two_term", (1, 12)).passed
+    def test_two_term(self, jcache):
+        K = TorusKnot(2, 5)
+        assert verify_recurrence(K, "two_term", jcache(K), (1, 12)).passed
 
-    def test_wrong_case(self):
+    def test_wrong_case(self, jcache):
         with pytest.raises(WrongCase):
-            verify_recurrence(TorusKnot(2, 5), "three_term", (1, 5))
+            verify_recurrence(TorusKnot(2, 5), "three_term", jcache(TorusKnot(2, 5)), (1, 5))
         with pytest.raises(WrongCase):
-            verify_recurrence(K34, "two_term", (1, 5))
+            verify_recurrence(K34, "two_term", jcache(K34), (1, 5))
+
+    def test_unknown_kind(self, jcache):
+        with pytest.raises(ValueError, match="unknown recurrence kind"):
+            verify_recurrence(K34, "four_term", jcache(K34), (1, 5))
+
+    @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
+    def test_epsilon_of_D_is_the_nonabelian_factor(self, K):
+        # A_K = (L - 1) * M^{2ab} epsilon(D) for a > 2, (L - 1) * M^{2b} epsilon(D) for a = 2
+        m = 2 * K.b if K.a == 2 else 2 * K.a * K.b
+        eps = recurrence_operator(K).epsilon()
+        assert parse(f"(L-1)*M^{m}", MLPoly) * eps == parse(a_polynomial_text(K.a, K.b), MLPoly)
+
+    @pytest.mark.parametrize("which", RECURRENCES)
+    def test_perturbed_operator_fails(self, monkeypatch, jcache, which):
+        K = RECURRENCES[which][0]
+        bad = recurrence_operator(K) + QTElem.t_pow(2)
+        monkeypatch.setattr(operators, "recurrence_operator", lambda K: bad)
+        assert_fails_at_first_color(verify_recurrence(K, which, jcache(K), (1, 6)))
+
+    @pytest.mark.parametrize("which", RECURRENCES)
+    def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache, which):
+        K, name, shifted = RECURRENCES[which]
+        monkeypatch.setattr(operators, name, shifted)
+        assert_fails_at_first_color(verify_recurrence(K, which, jcache(K), (1, 6)))
 
 
 class TestSigmaFixedness:
@@ -153,8 +203,8 @@ class TestSigmaFixedness:
 
 
 class TestPQConsistency:
-    def test_composition_matches_sequential_action(self):
-        assert verify_pq_consistency(K34, (1, 8)).passed
+    def test_composition_matches_sequential_action(self, jcache):
+        assert verify_pq_consistency(K34, jcache(K34), (1, 8)).passed
 
 
 class TestKernel:
