@@ -16,8 +16,11 @@ that ``QTElem.apply`` reads (``colored_jones_dense``): the summand of m is a
 run of |am+1| equal coefficients, sign(am+1), at every fourth exponent, and
 every run lies on one residue class mod 4.  A difference array on that
 stride-4 lattice takes +sign at each run's first point and -sign one past its
-last (one ``np.add.at`` each); its cumulative sum is J(n).  No cancellation
-reaches either end of the sum's span, so the array needs no trim.
+last (one ``np.add.at`` each); its cumulative sum is J(n).  Its nonzero
+entries, taken before that sum, plus the closing mark at the array's end are
+the run marks: about 2n of them against about ab*n^2/2 coefficients.  No
+cancellation reaches either end of the sum's span, so the array needs no
+trim.  A sequence fills J(-n) by negating its own cached J(n).
 """
 
 from __future__ import annotations
@@ -125,13 +128,12 @@ _EXPONENT_LIMIT = 1 << 62
 
 
 def colored_jones_dense(K: TorusKnot, n: int):
-    """J(n) as ``qtorus._dense(colored_jones(K, n))`` gives it, filled by a
-    difference array; None for n = 0."""
+    """J(n) as ``qtorus._dense(colored_jones(K, n))`` gives it, run marks
+    included, filled by a difference array; None for n = 0."""
     if n == 0:
         return None
     if n < 0:
-        lo, stride, arr, vmax = colored_jones_dense(K, -n)
-        return lo, stride, -arr, vmax
+        return _negated(colored_jones_dense(K, -n))
     a, b = K.a, K.b
     if a * b * n * n >= _EXPONENT_LIMIT:
         raise BadParams(f"color {n} of {K} has t-exponents past 2^62")
@@ -149,18 +151,37 @@ def colored_jones_dense(K: TorusKnot, n: int):
     # for n >= 2, so the stride is 4. That last run ends the array, so its
     # end gets no mark, and the array is allocated at its final length and
     # summed in place: a second array, or one spare slot, raised the peak
-    # RSS of the kernel search by about 2 MB.
+    # RSS of the kernel search by about 2 MB. The marks are read off the
+    # difference array before the sum, and the closing one is appended.
     diff = np.zeros(int(stop[-1]), dtype=np.int64)
     np.add.at(diff, start, sign)
     np.add.at(diff, stop[:-1], -sign[:-1])
+    pos = np.flatnonzero(diff)
+    marks = np.append(diff[pos], 0)
     arr = np.cumsum(diff, out=diff)
-    return low - a * b * (n * n - 1), 4 if n > 1 else 0, arr, int(np.abs(arr).max())
+    marks[-1] = -arr[-1]
+    pos = np.append(pos, len(arr))
+    return low - a * b * (n * n - 1), 4 if n > 1 else 0, arr, max(int(arr.max()), -int(arr.min())), pos, marks
+
+
+def _negated(v):
+    """The dense layout of -f from that of f."""
+    if v is None:
+        return None
+    lo, stride, arr, vmax, pos, marks = v
+    return lo, stride, -arr, vmax, pos, -marks
+
+
+def _jones_fill(K: TorusKnot, seq: DiscreteSeq, n: int):
+    # J(-n) = -J(n), read from the sequence's own cache
+    return _negated(seq.dense(-n)) if n < 0 else colored_jones_dense(K, n)
 
 
 def jones_sequence(K: TorusKnot) -> DiscreteSeq:
     """The colored Jones values of K as a memoized discrete sequence, filled
-    densely by ``colored_jones_dense``."""
-    return DiscreteSeq.from_dense(f"J_{K}", functools.partial(colored_jones_dense, K))
+    densely by ``colored_jones_dense``; a negative color negates the cached
+    value of its positive one."""
+    return DiscreteSeq.from_dense(f"J_{K}", functools.partial(_jones_fill, K))
 
 
 def h_sequence(K: TorusKnot) -> DiscreteSeq:

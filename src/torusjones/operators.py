@@ -467,15 +467,16 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
 def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> np.ndarray:
     """The integer constraint block of one color, rows x columns. The unknown
     x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
-    contributes t^(alpha + 2kn) J(n+j); each copy is written with the strided
-    slice of ``QTElem.apply``. Python ints (object) when a value needs them."""
+    contributes t^(alpha + 2kn) J(n+j); each copy of J(n+j)'s coefficient
+    array is written as one strided slice. Python ints (object) when a value
+    needs them."""
     dtype = np.result_type(*(v[2] for v in block.values if v is not None))
     # built transposed so that each copy lands in one row
     BT = np.zeros((len(slots) * mwidth * lwidth, block.width), dtype=dtype)
     for j, v in enumerate(block.values):
         if v is None:
             continue
-        lo, stride, arr, _vmax = v
+        lo, stride, arr = v[:3]
         gap = stride // 2 or 1
         span = gap * (len(arr) - 1) + 1
         for k in range(mwidth):

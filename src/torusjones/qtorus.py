@@ -17,16 +17,23 @@ commutative ring of (M, L) Laurent polynomials.
 
 A ``DiscreteSeq`` caches each value once in a dense layout: the lowest
 exponent, the stride of the exponent lattice, the coefficient array on that
-lattice and the largest |coefficient|.  The colored Jones sequence is filled
-in this layout directly; a sequence whose rule gives ``TPoly`` values (h,
-``acted``, test tables) goes through ``_dense``, the one adapter.
+lattice, the largest |coefficient| and the run marks. The marks are the
+positions and values of the array's first difference on its own lattice,
+merged and nonzero, with the closing mark at ``len(arr)``: scattered into
+zeros and summed cumulatively they give the array back. A colored Jones
+value is a few runs of equal coefficients, so it has about 2n marks but
+about ab*n^2/2 coefficients. The colored Jones sequence is filled in this
+layout directly; a sequence whose rule gives ``TPoly`` values (h, ``acted``,
+test tables) goes through ``_dense``, the one adapter.
 
-``QTElem.apply`` computes the action on those arrays: every monomial of every
-term adds a scaled copy of f(n+l) into one accumulator.  Before allocating,
-it bounds every output coefficient by sum |c| * max|f(n+l)| over the
-contributions; the accumulator is int64 when that bound is below 2^62 and a
-numpy object array of Python ints otherwise, so the action is exact for any
-coefficient size.
+``QTElem.apply`` computes the action on the marks: every monomial of every
+term scatters its coefficient times the marks of f(n+l) into one
+accumulator (one per lattice gap), and one cumulative sum per residue class
+turns it into the result. Every accumulated mark is at most 2 * sum |c| * max|f(n+l)| over
+the contributions in absolute value, and every partial sum is an output
+coefficient, so the accumulator is int64 when twice that bound is below
+2^62 and a numpy object array of Python ints otherwise; the action is exact
+for any coefficient size.
 """
 
 from __future__ import annotations
@@ -135,61 +142,83 @@ class QTElem(SparseRing):
         """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l).
 
         Each distinct f(n+l) is read once from the sequence's cache, already
-        dense (``DiscreteSeq.dense``); every monomial c t^e of a_{k,l} then
-        adds c times that array into one accumulator at exponent
-        e + 2kn + (lowest exponent of f(n+l)). The accumulator is int64 when
-        the bound sum |c| * max|f(n+l)| over all contributions is below 2^62,
-        and a Python-int object array otherwise, so the result is exact
-        either way.
+        dense (``DiscreteSeq.dense``). Every monomial c t^e of a_{k,l} lands
+        at exponent e + 2kn + (lowest exponent of f(n+l)); it scatters c
+        times the run marks of f(n+l) into an accumulator on the output
+        lattice, at its offset plus its gap times each mark's position. A
+        cumulative sum along each residue class mod the gap then gives the
+        result. Values of different gaps get one accumulator per gap; a
+        single-term value fits any gap. The accumulator is int64 when
+        2 * sum |c| * max|f(n+l)| over all contributions is below 2^62, and
+        a Python-int object array otherwise, so the result is exact either
+        way.
         """
         values = {}
         for (_k, l) in self.terms:
             if l not in values:
                 values[l] = f.dense(n + l)
         # contributions that land on the same array at the same offset add up
-        coeffs: dict = {}
+        groups: dict = {}  # l -> {exponent where f(n+l) lands: coefficient}
         for (k, l), c in self.terms.items():
             v = values[l]
             if v is None:
                 continue
+            group = groups.setdefault(l, {})
+            shift = 2 * k * n + v[0]
             for e, ce in c.terms.items():
-                key = (l, e + 2 * k * n + v[0])
-                coeffs[key] = coeffs.get(key, 0) + ce
-        contribs = [(l, start, c) for (l, start), c in coeffs.items() if c]
-        if not contribs:
+                group[e + shift] = group.get(e + shift, 0) + ce
+        groups = {l: {s: c for s, c in g.items() if c} for l, g in groups.items()}
+        groups = {l: g for l, g in groups.items() if g}
+        if not groups:
             return TPoly.zero()
-        base = min(start for _l, start, _c in contribs)
+        base = min(min(g) for g in groups.values())
         step = 0
         top = base
         bound = 0
-        for l, start, c in contribs:
-            _lo, stride, arr, vmax = values[l]
-            step = math.gcd(step, stride, start - base)
-            top = max(top, start + stride * (len(arr) - 1))
-            bound += abs(c) * vmax
+        for l, g in groups.items():
+            _lo, stride, arr, vmax, _pos, _marks = values[l]
+            step = math.gcd(step, stride, *(s - base for s in g))
+            top = max(top, max(g) + stride * (len(arr) - 1))
+            bound += sum(map(abs, g.values())) * vmax
         step = step or 1
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        acc = np.zeros((top - base) // step + 1, dtype=dtype)
-        for l, start, c in contribs:
-            _lo, stride, arr, _vmax = values[l]
-            off = (start - base) // step
-            gap = stride // step or 1
-            acc[off : off + gap * (len(arr) - 1) + 1 : gap] += c * arr.astype(dtype, copy=False)
-        return _sparse(base, step, acc)
+        size = (top - base) // step + 1
+        dtype = np.int64 if 2 * bound < _INT64_SAFE else object
+        single_gap = min((values[l][1] // step for l in groups if values[l][1]), default=1)
+        accs: dict = {}  # gap -> accumulator of that gap's marks
+        for l, g in groups.items():
+            _lo, stride, _arr, _vmax, pos, marks = values[l]
+            gap = stride // step or single_gap
+            if gap not in accs:
+                # closing marks reach one gap past the end
+                accs[gap] = np.zeros((-(-size // gap) + 1) * gap, dtype=dtype)
+            offs = (np.fromiter(g, dtype=np.int64, count=len(g)) - base) // step
+            cs = np.array(list(g.values()), dtype=dtype)
+            at = np.add.outer(offs, gap * pos).ravel()
+            np.add.at(accs[gap], at, np.multiply.outer(cs, marks.astype(dtype, copy=False)).ravel())
+        out = None
+        for gap, acc in accs.items():
+            grid = acc.reshape(-1, gap)
+            np.cumsum(grid, axis=0, out=grid)
+            out = acc[:size] if out is None else out + acc[:size]
+        return _sparse(base, step, out)
 
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
 
 
-#: the int64 accumulator is used only below this coefficient bound
+#: int64 holds the marks, and the accumulator of ``QTElem.apply``, only when
+#: twice the coefficient bound is below this
 _INT64_SAFE = 1 << 62
 
 
 def _dense(v: TPoly):
-    """v as (lowest exponent, stride, coefficient array, max |coefficient|),
-    or None when v is zero. The stride is the gcd of the exponent gaps (0 for
-    a single term); the array holds every lattice point from the lowest to
-    the highest exponent. Coefficients outside int64 give an object array.
+    """v as (lowest exponent, stride, coefficient array, max |coefficient|,
+    mark positions, mark values), or None when v is zero. The stride is the
+    gcd of the exponent gaps (0 for a single term); the array holds every
+    lattice point from the lowest to the highest exponent. Coefficients
+    outside int64 give an object array. The marks are the nonzero entries of
+    the array's first difference, closing mark at ``len(arr)`` included; they
+    are Python ints (object) when 2 * max |coefficient| reaches 2^62.
 
     This is the adapter for sequences whose rule gives TPolys."""
     if not v.terms:
@@ -205,7 +234,11 @@ def _dense(v: TPoly):
     stride = int(np.gcd.reduce(gaps))
     arr = np.zeros(int(gaps.max()) // (stride or 1) + 1, dtype=vals.dtype)
     arr[gaps // (stride or 1)] = vals
-    return lo, stride, arr, max(int(vals.max()), -int(vals.min()))
+    vmax = max(int(vals.max()), -int(vals.min()))
+    wide = arr.astype(object) if 2 * vmax >= _INT64_SAFE else arr
+    diff = np.diff(wide, prepend=0, append=0)
+    pos = np.flatnonzero(diff)
+    return lo, stride, arr, vmax, pos, diff[pos]
 
 
 def _sparse(lo: int, stride: int, arr: np.ndarray) -> TPoly:
@@ -218,32 +251,37 @@ class DiscreteSeq:
     """A memoized total function Z -> Z[t^{+-1}] with a printable rule name.
 
     The cache holds each value once, in the dense layout of ``_dense`` (None
-    for zero). ``dense(n)`` reads it, as ``QTElem.apply`` does; calling the
-    sequence builds the TPoly. ``fn`` gives TPoly values and goes through the
-    ``_dense`` adapter; ``from_dense`` takes a rule that gives the layout
-    itself. Evaluation is deterministic, so caching never changes semantics.
+    for zero), run marks included. ``dense(n)`` reads it, as ``QTElem.apply``
+    does; calling the sequence builds the TPoly. ``fn`` gives TPoly values
+    and goes through the ``_dense`` adapter; ``from_dense`` takes a rule
+    ``fill(seq, n)`` that gives the layout itself and may read other values
+    through ``seq.dense``. Evaluation is deterministic, so caching never
+    changes semantics.
     """
 
     __slots__ = ("name", "_fill", "_cache")
 
     def __init__(self, name: str, fn: Callable[[int], TPoly]):
         self.name = name
-        self._fill = lambda n: _dense(fn(n))
+        self._fill = lambda _seq, n: _dense(fn(n))
         self._cache: dict = {}
 
     @classmethod
-    def from_dense(cls, name: str, fill: Callable[[int], tuple | None]) -> "DiscreteSeq":
+    def from_dense(cls, name: str, fill: Callable[["DiscreteSeq", int], tuple | None]) -> "DiscreteSeq":
         seq = cls.__new__(cls)
         seq.name, seq._fill, seq._cache = name, fill, {}
         return seq
 
     def dense(self, n: int) -> tuple | None:
-        """f(n) as (lowest exponent, stride, coefficient array, max |coefficient|),
-        or None when f(n) is zero."""
+        """f(n) as (lowest exponent, stride, coefficient array, max |coefficient|,
+        mark positions, mark values), or None when f(n) is zero. The marks
+        scattered into zeros of length len(array) + 1 and summed
+        cumulatively give the array, then 0; their values are Python ints
+        (object) when 2 * max |coefficient| reaches 2^62."""
         cache = self._cache
         if n in cache:
             return cache[n]
-        v = cache[n] = self._fill(n)
+        v = cache[n] = self._fill(self, n)
         return v
 
     def __call__(self, n: int) -> TPoly:

@@ -48,21 +48,45 @@ def test_named_operator_matches_sparse(name, index, jcache):
 
 class TestBoundRule:
     def test_overflowing_values_become_object_arrays(self):
-        lo, stride, arr, vmax = _dense(TPoly({3: 2**63, 7: -1}))
+        lo, stride, arr, vmax, pos, marks = _dense(TPoly({3: 2**63, 7: -1}))
         assert (lo, stride, vmax) == (3, 4, 2**63)
         assert arr.dtype == object and arr.tolist() == [2**63, -1]
+        assert marks.dtype == object and pos.tolist() == [0, 1, 2]
+        assert marks.tolist() == [2**63, -1 - 2**63, 1]
 
     def test_int64_values_keep_int64(self):
-        lo, stride, arr, vmax = _dense(TPoly({-4: -(2**63), 2: 5, 8: 1}))
+        lo, stride, arr, vmax, pos, marks = _dense(TPoly({-4: -(2**63), 2: 5, 8: 1}))
         assert (lo, stride, vmax) == (-4, 6, 2**63)
         assert arr.dtype.name == "int64" and arr.tolist() == [-(2**63), 5, 1]
+        # the differences leave int64, so the marks are Python ints
+        assert marks.dtype == object and pos.tolist() == [0, 1, 2, 3]
+        assert marks.tolist() == [-(2**63), 5 + 2**63, -4, -1]
+
+    def test_int64_extremes_give_object_marks(self):
+        lo, stride, arr, vmax, pos, marks = _dense(TPoly({0: 2**63 - 1, 4: -(2**63)}))
+        assert (lo, stride, vmax) == (0, 4, 2**63)
+        assert arr.dtype.name == "int64" and arr.tolist() == [2**63 - 1, -(2**63)]
+        assert marks.dtype == object and pos.tolist() == [0, 1, 2]
+        assert marks.tolist() == [2**63 - 1, 1 - 2**64, 2**63]
+        f = DiscreteSeq("extremes", lambda n: TPoly({0: 2**63 - 1, 4: -(2**63)}))
+        op = parse("L^-1")
+        for n in range(-2, 3):
+            assert op.apply(f, n) == sparse_apply(op, f, n)
+
+    def test_small_values_keep_int64_marks(self):
+        lo, stride, arr, vmax, pos, marks = _dense(TPoly({0: 2**60, 2: 2**60, 6: -3}))
+        assert (lo, stride, vmax) == (0, 2, 2**60)
+        assert arr.tolist() == [2**60, 2**60, 0, -3]
+        assert marks.dtype.name == "int64" and pos.tolist() == [0, 2, 3, 4]
+        assert marks.tolist() == [2**60, -(2**60), -3, 3]
 
     @pytest.mark.parametrize(
         "op_text,value",
         [
             ("2", 2**62),  # the result 2^63 leaves int64
             ("L + 1", 2**62 - 1),  # bound 2^63 - 2 with an in-range result
-            ("L - 1", 2**61 - 1),  # bound 2^62 - 2 keeps the int64 accumulator
+            ("L - 1", 2**61 - 1),  # bound 2^62 - 2: twice it takes the object accumulator
+            ("L - 1", 2**60 - 1),  # twice the bound is 2^62 - 4: int64 accumulator
             ("M + t^2", 2**61),  # two contributions meet at one exponent
             ("3*L^-1 - M^-1*L", -(2**63)),
         ],
@@ -79,6 +103,22 @@ class TestBoundRule:
         one = DiscreteSeq("one", lambda n: TPoly.one())
         assert QTElem.zero().apply(one, 5).is_zero()
         assert parse("L - 1").apply(one, 5).is_zero()
+
+
+def test_mixed_strides_in_one_call():
+    """Stride-4, stride-6 and single-term values, with interior zeros, read
+    by one operator: two gaps and a value that fits either."""
+    table = {
+        0: TPoly({0: 1, 4: -2, 12: 3}),
+        1: TPoly({1: 5, 7: -1, 19: 2}),
+        2: TPoly({5: 7}),
+    }
+    f = DiscreteSeq("mixed", lambda n: table.get(n, TPoly.zero()))
+    op = parse("t + 3*M*L - 2*t^3*L^2 + M^-1*L^2 + (t^2 - 1)*L")
+    for n in range(-3, 4):
+        dense = op.apply(f, n)
+        assert dense == sparse_apply(op, f, n), n
+    assert not op.apply(f, 0).is_zero()
 
 
 # --- property test over random sparse sequences and parsed operators --------

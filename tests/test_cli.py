@@ -112,26 +112,20 @@ class TestVerifyCommand:
                 "sigma(A')", "p-membership"} <= idents
 
     def test_suite_fills_each_colored_jones_value_once(self, capsys, monkeypatch):
-        # a fill is a call from a sequence's cache; the call for a negative
-        # color -n computes J(n) inside itself, so nested calls are not fills
+        # every call counts, nested ones included, keyed by (knot, |color|):
+        # a sequence fills J(-n) from its own cached J(n)
         fills = collections.Counter()
-        active = []
         fill = jones.colored_jones_dense
 
         def counting(K, n):
-            if not active:
-                fills[K, n] += 1
-            active.append(n)
-            try:
-                return fill(K, n)
-            finally:
-                active.pop()
+            fills[K, abs(n)] += 1
+            return fill(K, n)
 
         monkeypatch.setattr(jones, "colored_jones_dense", counting)
         code, _, _ = run(capsys, "verify", "all", "--suite", "--json")
         assert code == 0
         assert [pair for pair, count in fills.items() if count > 1] == []
-        assert len(fills) == 182
+        assert len(fills) == 174
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         def fake(identity, K, n_range, *shared):

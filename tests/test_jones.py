@@ -71,14 +71,21 @@ class TestColoredJones:
 
 def assert_same_layout(K, n):
     """The dense fill of J(n) equals the sum's value laid out by ``_dense``,
-    field by field: lowest exponent, stride, array (dtype and entries) and
-    max |coefficient|."""
+    field by field: lowest exponent, stride, array (dtype and entries),
+    max |coefficient| and run marks (positions, dtype and values). The marks
+    scattered into zeros and summed cumulatively give the array, then 0."""
     got, expected = colored_jones_dense(K, n), _dense(colored_jones(K, n))
     if expected is None:
         assert got is None, (str(K), n)
         return
     assert got[0] == expected[0] and got[1] == expected[1] and got[3] == expected[3], (str(K), n)
     assert got[2].dtype == expected[2].dtype and np.array_equal(got[2], expected[2]), (str(K), n)
+    assert np.array_equal(got[4], expected[4]), (str(K), n)
+    assert got[5].dtype == expected[5].dtype and np.array_equal(got[5], expected[5]), (str(K), n)
+    arr, pos, marks = got[2], got[4], got[5]
+    full = np.zeros(len(arr) + 1, dtype=marks.dtype)
+    full[pos] = marks
+    assert np.array_equal(np.cumsum(full), np.append(arr, 0)), (str(K), n)
 
 
 class TestDenseFill:
