@@ -2,10 +2,13 @@
 
 ``ModularRREF`` is the elimination engine: dense reduced row echelon form
 modulo a prime 2^18 < p < 2^19, in float64 with blocked numpy matmuls.
-Stored blocks hold residues in [0, p). ``_submul`` updates X to
-(X - A @ B) mod p with the inner dimension chunked by 2^53 // p^2, so every
-value it forms is an integer of magnitude below 2^53, exact in float64, and
-``_mod`` reduces such integers exactly, in place and without float ``%``.
+Stored blocks hold signed residues, of magnitude below h = p // 2 + 4, which
+``_mod`` gives exactly for integers up to 2^53 - p, in place and without
+float ``%``. Reduction is lazy: ``_rref_dense`` updates the rows below a
+pivot block by a plain matmul and reduces entries only where it reads them.
+An engine's column count bounds every value it forms (``_lazy_bound``)
+inside that range, so the arithmetic is exact in float64; ``ModularRREF``
+refuses a wider engine. ``_submul`` fuses X - A @ B with its reduction.
 The pivot rows are stored as [I | X]: only X, their entries on the free
 columns, is kept. X is rank x (ncols - rank), at most ncols^2 / 4 entries,
 and every matmul is as wide as the free columns.
@@ -116,106 +119,136 @@ class ExactEliminator:
 
 
 #: Row count at or below which ``_rref_dense`` eliminates row by row.
-_BASE_ROWS = 32
+_BASE_ROWS = 8
 #: Elements per slab of ``_mod``, so that its temporaries stay in cache.
 _SLAB = 1 << 15
-#: glibc's ``mallopt`` parameter M_MMAP_THRESHOLD, and the value that
-#: ``_fix_mmap_threshold`` gives it: 32 MiB, the ceiling of glibc's own
-#: dynamic threshold on 64-bit.
+#: Columns per slab of ``process_block``'s input split.
+_GATHER = 256
+#: Float input to ``ModularRREF.process_block`` holds integers of magnitude
+#: below this, inside the exact range of ``_mod``.
+FLOAT_INPUT_BOUND = 1 << 52
+#: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD,
+#: and the values that ``_fix_malloc_thresholds`` gives them: 4 MiB and
+#: 16 MiB.
+_M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 4 << 20
+_MMAP_THRESHOLD_BYTES = 16 << 20
 
 
 @functools.cache
-def _fix_mmap_threshold() -> bool:
-    """Fix glibc's malloc mmap threshold, once per process; True if set.
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's malloc trim and mmap thresholds, once per process; True
+    if both are set.
 
-    By default glibc raises the threshold to the size of each larger mmapped
-    block that is freed, up to 32 MiB, and keeps up to twice the threshold
-    of free memory at the top of the heap resident. ``process_block`` frees
-    blocks of a few to a few tens of MB, so which of them stayed resident
-    hung on what the process had freed before, and the peak RSS of the same
-    queries moved by 20 MB with their order, or even with the length of the
-    checkout's path. A fixed threshold turns that adjustment off: smaller
-    blocks are reused from the heap, whose top is trimmed past 128 KiB, and
-    larger ones are unmapped when freed. Without glibc's ``mallopt`` this
-    does nothing."""
+    By default glibc raises the mmap threshold to the size of each larger
+    mmapped block that is freed, up to 32 MiB, and keeps up to twice that
+    threshold of free memory at the top of the heap resident.
+    ``process_block`` frees blocks of a few to a few tens of MB, so which of
+    them stayed resident hung on what the process had freed before, and the
+    peak RSS of the same queries moved by 20 MB with their order, or even
+    with the length of the checkout's path. Fixed thresholds turn that
+    adjustment off: blocks below the mmap threshold are reused from the
+    heap, and larger ones are unmapped when freed. At 32 MiB the stored
+    pivot rows of a 3,393-column engine (up to 23 MB) still came from the
+    heap, and the benchmark's certify peak read 114 or 132 MB with the
+    length of the checkout's path; at 16 MiB they get their own mappings,
+    and it read 105 MB at all six lengths tried.
+
+    Free memory past the trim threshold at the top of the heap goes back to
+    the system, and at glibc's fixed default of 128 KiB the engine's slab
+    temporaries (256 KiB in ``_mod``, a base case's rank-1 product, a gather
+    slab) went back and were faulted in again on nearly every call: 456,000
+    minor faults in the 8b L-deg 2 query, against 146,000 at 4 MiB, where
+    it ran in 6.9 s instead of 8.0 s at the same peak. Without glibc's
+    ``mallopt`` this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+    trim = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1 and trim
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce x mod p in place and return it: x is a float64 array of
-    integers with |x| < 2^53, and p > 7.
+    """Reduce x to signed residues mod p in place and return it: x is a
+    float64 array of integers with |x| <= 2^53 - p, and p > 8. Each y it
+    gives is congruent to its x mod p with |y| < p/2 + 4, so y == 0 exactly
+    when p divides x.
 
-    The quotient is truncated from one multiply by r = fl(fl(1/p)(1 - 4u)),
-    where u = 2^-53 is the unit roundoff. Each of the two roundings has
-    relative error at most u, so (1 - 6u)/p < r < (1 - 2u)/p, and the rounded
-    product fl(x r) = x r (1 + d) with |d| <= u satisfies
-
-        |x|/p - 7/p < |x|/p (1 - 7u) <= |fl(x r)| <= |x|/p.
-
-    As 7/p < 1, q = trunc(fl(x r)) is trunc(x/p) or one less in magnitude.
-    Then |q p| <= |x| < 2^53, so q p and y = x - q p are exact integers, and
-    y has the sign of x with |y| < 2p. Adding 2p to y < 0 and then
-    subtracting p from y >= p gives x mod p in [0, p). These are passes of
-    plain arithmetic, over slabs that stay in cache; float64 ``%`` is
-    several times slower.
+    The quotient is rounded from one multiply by r = fl(1/p). With u = 2^-53
+    the unit roundoff, r = (1 + e1)/p and fl(x r) = x r (1 + e2) with
+    |e1|, |e2| <= u, so |fl(x r) - x/p| <= (2u + u^2)|x|/p < 3/p, as
+    |x| < 2^53. Then q = rint(fl(x r)) has |q - x/p| < 1/2 + 3/p, and
+    y = x - q p has |y| < p/2 + 3. Both q and q p are integers, and
+    |q p| <= |x| + |y| < 2^53 - p/2 + 3 <= 2^53, so q p is exact in float64;
+    so is y, an integer of magnitude below 2^53. Past 2^53 - p that can fail:
+    at x = 2^53 - 1 and p = 524269 the nearest multiple of p is above 2^53
+    and odd, and q p rounds. These are four passes of plain arithmetic, over
+    slabs that stay in cache; float64 ``%`` is several times slower.
     """
-    r = (1.0 / p) * (1 - 2.0**-51)
+    r = 1.0 / p
     rows = max(1, _SLAB // max(1, x[:1].size))
     q = np.empty(x[:rows].shape)
-    mask = np.empty(q.shape, dtype=bool)
     for s in range(0, x.shape[0], rows):
         v = x[s : s + rows]
-        t, m = q[: v.shape[0]], mask[: v.shape[0]]
+        t = q[: v.shape[0]]
         np.multiply(v, r, out=t)
-        np.trunc(t, out=t)
+        np.rint(t, out=t)
         t *= p
         v -= t
-        np.less(v, 0, out=m)
-        np.add(v, 2 * p, out=v, where=m)
-        np.greater_equal(v, p, out=m)
-        np.subtract(v, p, out=v, where=m)
     return x
 
 
 def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """X = (X - A @ B) mod p in place, exactly, for X, A and B with entries
-    in [0, p); returns X. The inner dimension is chunked by
-    chunk = 2^53 // p^2, so a chunk's product has entries in
-    [0, chunk (p - 1)^2], and X - A @ B stays above -2^53 (see ``_mod``)."""
-    chunk = max(1, (1 << 53) // (p * p))
-    for s in range(0, A.shape[1], chunk):
-        X -= A[:, s : s + chunk] @ B[s : s + chunk]
-        _mod(X, p)
-    return X
+    """X = X - A @ B reduced to signed residues (``_mod``) in place, exactly,
+    for X, A and B with entries of magnitude below h = p // 2 + 4 and an
+    inner dimension k with h + k h^2 <= 2^53 - p; returns X. Every partial
+    sum of the product then is an integer of magnitude below k h^2, exact in
+    float64 in any order of summation, and X - A @ B is in the range of
+    ``_mod``. Inside ``ModularRREF`` k is at most its column count, which
+    its construction checks against ``_lazy_bound``."""
+    X -= A @ B
+    return _mod(X, p)
+
+
+def _lazy_bound(ncols: int, p: int) -> int:
+    """The largest magnitude that ``_rref_dense`` can leave unreduced in a
+    block of ncols columns mod p: h + (ncols + _BASE_ROWS) h^2 with
+    h = p // 2 + 4."""
+    h = p // 2 + 4
+    return h + (ncols + _BASE_ROWS) * h * h
 
 
 def _rref_dense(B: np.ndarray, p: int) -> tuple:
-    """In-place RREF of a dense block mod p, with entries in [0, p).
+    """In-place RREF of a dense block mod p, with entries of magnitude below
+    h = p // 2 + 4 on entry.
 
-    Returns (R, cols): R[i] has value 1 at column cols[i] and 0 at every
-    other cols[j]. Recursion on halves of the rows keeps the bulk of the
-    work inside matmuls (``_submul``); blocks of at most ``_BASE_ROWS`` rows
-    are eliminated row by row with whole-block rank-1 updates.
+    Returns (R, cols): R, the first len(cols) rows of B, has value 1 at
+    column cols[i] of row i and 0 at every other cols[j], and its entries
+    are signed residues (``_mod``).
+    Recursion on halves of the rows keeps the bulk of the work inside
+    matmuls; blocks of at most ``_BASE_ROWS`` rows are eliminated row by row
+    with whole-block rank-1 updates.
+
+    Reduction is lazy: entries are reduced where they are read, which is the
+    base case's pivot row and pivot column, the pivot columns gathered for
+    an update, and the rows a base case returns. The rows below a pivot
+    block are updated by a plain B2 -= C @ R1 with C and R1 reduced, which
+    adds at most h^2 per pivot of R1 to each entry, and a rank-1 update adds
+    at most h^2. A row meets each pivot of the block at most once before the
+    base case reduces it as its pivot row, and at most ``_BASE_ROWS`` - 1
+    more pivots after that, so no entry exceeds ``_lazy_bound``(ncols, p),
+    which ``ModularRREF`` keeps within the range of ``_mod``.
     """
     m = B.shape[0]
     if m <= _BASE_ROWS:
-        # Deferred reduction: each rank-1 update subtracts a product of two
-        # residues, at most (p - 1)^2 < 2^38 per entry, so after at most
-        # _BASE_ROWS - 1 updates every entry lies in (-2^43, p) and one _mod
-        # at the end is exact. Only the pivot row and the pivot column are
-        # reduced eagerly, since they feed the next update.
         keep = []
         cols = []
         for i in range(m):
             r = _mod(B[i], p)
-            nz = np.nonzero(r)[0]
+            nz = np.flatnonzero(r)
             if nz.size == 0:
                 continue
             c = int(nz[0])
@@ -229,27 +262,26 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
                 B -= col[:, None] * r
             keep.append(i)
             cols.append(c)
-        if not keep:
-            return np.zeros((0, B.shape[1])), np.array([], dtype=np.int64)
-        _mod(B, p)
-        return B[keep], np.array(cols, dtype=np.int64)
+        k = len(keep)
+        if k < m:
+            B[:k] = B[keep]
+        return _mod(B[:k], p), np.array(cols, dtype=np.int64)
     half = m // 2
     R1, c1 = _rref_dense(B[:half], p)
     B2 = B[half:]
-    if c1.size and R1.shape[0]:
-        C = B2[:, c1]
+    if c1.size:
+        C = _mod(B2[:, c1], p)
         if np.any(C):
-            _submul(B2, C, R1, p)
+            B2 -= C @ R1
     R2, c2 = _rref_dense(B2, p)
-    if c2.size and R1.shape[0]:
+    if c2.size and c1.size:
         C = R1[:, c2]
         if np.any(C):
             _submul(R1, C, R2, p)
-    if not R1.shape[0]:
-        return R2, c2
-    if not R2.shape[0]:
-        return R1, c1
-    return np.vstack([R1, R2]), np.concatenate([c1, c2])
+    k1, k2 = len(c1), len(c2)
+    if k1 < half:
+        B[k1 : k1 + k2] = R2
+    return B[: k1 + k2], np.concatenate([c1, c2])
 
 
 class ModularRREF:
@@ -264,10 +296,16 @@ class ModularRREF:
     arrive, and rank * (ncols - rank) <= ncols^2 / 4 bounds it: about
     200 MB at the 10,000-column solved class of a query at
     ``MAX_KERNEL_UNKNOWNS``.
+
+    The construction refuses an engine whose lazy reduction bound
+    (``_lazy_bound``) could leave the exact range of ``_mod``: about
+    131,000 columns for p below 2^19.
     """
 
     def __init__(self, ncols: int, p: int):
-        _fix_mmap_threshold()
+        if _lazy_bound(ncols, p) > (1 << 53) - p:
+            raise ValueError(f"{ncols} columns are past the exact float64 range of elimination mod {p}")
+        _fix_malloc_thresholds()
         self.p = p
         self.ncols = ncols
         self._X = np.zeros((0, ncols))
@@ -276,23 +314,27 @@ class ModularRREF:
         self.rank = 0
 
     def process_block(self, B: np.ndarray) -> int:
-        """Feed a block of rows (integers, any sign). Returns new pivot count.
+        """Feed a block of rows of integers, any sign. Returns new pivot count.
 
-        Integer and object input is reduced mod p before the float64 cast, so
-        entries past 2^53 keep their exact residues."""
+        Float input must hold integers below ``FLOAT_INPUT_BOUND`` in
+        magnitude. Integer and object input is reduced mod p before the
+        float64 cast, so entries past 2^53 keep their exact residues."""
         p = self.p
         B = np.asarray(B)
-        if B.dtype.kind not in "iuO":
-            B = B.astype(np.float64, copy=False)
-        X, r = self._X, self.rank
-        # split the residues into the free and the pivot columns, a slab of
-        # rows at a time, so that no temporary is as large as the block
-        Bf, C = np.empty((B.shape[0], self._free.size)), np.empty((B.shape[0], r))
-        step = max(1, _SLAB // max(1, B.shape[1]))
-        for s in range(0, B.shape[0], step):
-            blk = B[s : s + step] % p
-            Bf[s : s + step], C[s : s + step] = blk[:, self._free], blk[:, self._pivcols]
+        if B.dtype.kind in "iuO":
+            B = B % p
+        BT = B.astype(np.float64, copy=False).T
         del B
+        X, r = self._X, self.rank
+        # split the residues into the free and the pivot columns: gather
+        # rows of B^T, a slab of columns of B at a time, so that the
+        # transposed writes go to C-ordered blocks and no temporary is as
+        # large as the block
+        Bf, C = np.empty((BT.shape[1], self._free.size)), np.empty((BT.shape[1], r))
+        for out, idx in ((Bf, self._free), (C, self._pivcols)):
+            for s in range(0, idx.size, _GATHER):
+                out[:, s : s + _GATHER] = _mod(BT[idx[s : s + _GATHER]], p).T
+        del BT
         # reduce against the pivot rows: what is left of each row lies on
         # the free columns
         if np.any(C):
@@ -313,13 +355,15 @@ class ModularRREF:
         # on the dropped ones the result is 0, since R[:, cols] = I.
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
-        Xn = np.empty((r + n_new, self._free.size - n_new))
-        Rk = np.compress(keep, R, axis=1, out=Xn[r:])
+        kept = np.flatnonzero(keep)
+        Xn = np.empty((r + n_new, kept.size))
+        # mode="clip" writes straight to out; the default mode buffers a copy
+        Rk = np.take(R, kept, axis=1, out=Xn[r:], mode="clip")
         del R
-        for s in range(0, r, 2048):
-            e = min(s + 2048, r)
+        for s in range(0, r, 512):
+            e = min(s + 512, r)
             blk, out = X[s:e], Xn[s:e]
-            np.compress(keep, blk, axis=1, out=out)
+            np.take(blk, kept, axis=1, out=out, mode="clip")
             C = blk[:, cols]
             if np.any(C):
                 _submul(out, C, Rk, p)

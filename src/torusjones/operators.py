@@ -18,7 +18,14 @@ import numpy as np
 
 from .jones import BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
 from .laurent import TPoly, lambda_poly, quantum_integer
-from .nullspace import PRIMES, ModularRREF, combine, prime_supply, reconstruct_vector
+from .nullspace import (
+    FLOAT_INPUT_BOUND,
+    PRIMES,
+    ModularRREF,
+    combine,
+    prime_supply,
+    reconstruct_vector,
+)
 from .qtorus import DiscreteSeq, QTElem, acted
 
 
@@ -468,9 +475,15 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> 
     """The integer constraint block of one color, rows x columns. The unknown
     x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
     contributes t^(alpha + 2kn) J(n+j); each copy of J(n+j)'s coefficient
-    array is written as one strided slice. Python ints (object) when a value
-    needs them."""
-    dtype = np.result_type(*(v[2] for v in block.values if v is not None))
+    array is written as one strided slice. float64 when every value's max
+    |coefficient| is below ``FLOAT_INPUT_BOUND``, so that ``process_block``
+    reads it without a cast; else the values' own dtype, Python ints
+    (object) when a value needs them."""
+    present = [v for v in block.values if v is not None]
+    if max(v[3] for v in present) < FLOAT_INPUT_BOUND:
+        dtype = np.float64
+    else:
+        dtype = np.result_type(*(v[2] for v in present))
     # built transposed so that each copy lands in one row
     BT = np.zeros((len(slots) * mwidth * lwidth, block.width), dtype=dtype)
     for j, v in enumerate(block.values):

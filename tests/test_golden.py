@@ -1,11 +1,13 @@
 """Byte-level golden outputs of the CLI.
 
 ``data/golden_cli.json`` holds the stdout and exit code of ``reduce`` for
-every named operator on every applicable suite knot and of the (2,3)
-``kernel`` queries, text and JSON. The last exact query's kernel has
-coefficients up to 26,361, past what one prime lifts (about 511). The
-``verify all --suite --json`` digest
-is the one the benchmark pins in ``perfbench/suite_expected.json``.
+every named operator on every applicable suite knot, of the (2,3)
+``kernel`` queries, text and JSON, and of two modular engine queries: the
+(2,7) L-deg 2 query, text and JSON, and the (3,4) L-deg 2 query of the
+benchmark (6,669 unknowns, dimension 0), JSON. The last exact (2,3) query's
+kernel has coefficients up to 26,361, past what one prime lifts (about
+511). The ``verify all --suite --json`` digest is the one the benchmark
+pins in ``perfbench/suite_expected.json``.
 """
 
 import contextlib

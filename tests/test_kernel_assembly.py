@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from torusjones.jones import TorusKnot
 from torusjones.laurent import TPoly
-from torusjones.nullspace import ExactEliminator
+from torusjones.nullspace import FLOAT_INPUT_BOUND, ExactEliminator
 from torusjones.operators import (
     KernelQuery,
     KernelResult,
@@ -71,10 +71,64 @@ def test_block_past_int64_holds_python_ints():
     assert_columns_match_apply(J, [-4, -2, 0], 2, 1, (-1, 2))
 
 
+@pytest.mark.parametrize(
+    "big, dtype",
+    [
+        (FLOAT_INPUT_BOUND - 1, np.float64),
+        (FLOAT_INPUT_BOUND, np.int64),
+        (2**53 + 1, np.int64),
+        (2**63, object),
+    ],
+)
+def test_block_dtype_follows_the_largest_coefficient(big, dtype):
+    # float64 only while every value's max |coefficient| is below
+    # FLOAT_INPUT_BOUND; from there on the exact integer construction, which
+    # holds 2^53 + 1 (not a float64) exactly
+    table = {n: TPoly({2 * n: big, 2 * n + 4: -3 - n}) for n in (1, 2, 3)}
+    J = DiscreteSeq("big", lambda n: table.get(n, TPoly.zero()))
+    slots, mwidth, lwidth = [-4, -2, 0], 3, 2
+    for block in _color_blocks(J, slots, mwidth - 1, lwidth - 1, (1, 2)):
+        assert _color_matrix(block, slots, mwidth, lwidth).dtype == dtype
+    assert_columns_match_apply(J, slots, mwidth - 1, lwidth - 1, (1, 2))
+
+
+#: The solved class of each certify query of the benchmark: (knot, l_degree,
+#: m_degree, t_window, n_range).
+CERTIFY_QUERIES = [
+    ((2, 3), 1, 10, (-20, 2), (1, 12)),
+    ((2, 3), 2, 10, (-20, 2), (1, 12)),
+    ((2, 7), 2, 18, (-44, 2), (1, 19)),
+    ((3, 4), 2, 38, (-40, 16), (1, 12)),
+]
+
+
+@pytest.mark.parametrize("query", CERTIFY_QUERIES, ids=lambda q: "{},{} L{}".format(*q[0], q[1]))
+def test_float_blocks_equal_the_integer_construction(query, jcache):
+    # every color of the certify queries: the float64 block equals, entry
+    # for entry, the int64 block that the same values give when their max
+    # |coefficient| is read as FLOAT_INPUT_BOUND
+    ab, l_degree, m_degree, window, n_range = query
+    J = jcache(TorusKnot(*ab))
+    slots, _derived = _parity_plan(*window)
+    mwidth, lwidth = m_degree + 1, l_degree + 1
+    colors = 0
+    for block in _color_blocks(J, slots, m_degree, l_degree, n_range):
+        if block is None:
+            continue
+        got = _color_matrix(block, slots, mwidth, lwidth)
+        values = [None if v is None else (*v[:3], FLOAT_INPUT_BOUND, *v[4:]) for v in block.values]
+        ref = _color_matrix(block._replace(values=values), slots, mwidth, lwidth)
+        assert got.dtype == np.float64 and ref.dtype == np.int64
+        assert np.array_equal(got.astype(np.int64), ref)
+        assert np.abs(got).max() < FLOAT_INPUT_BOUND
+        colors += 1
+    assert colors == n_range[1] - n_range[0] + 1
+
+
 def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:
     """The standard kernel basis of one parity class on the whole n_range, as
     operator strings: ``ExactEliminator`` fed every row of every color's
-    ``_color_matrix``."""
+    ``_color_matrix``, as Python ints (the block may be float64)."""
     if not slots:
         return []
     mwidth, lwidth = m_degree + 1, l_degree + 1
@@ -83,7 +137,7 @@ def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:
         if block is not None and elim.rank < elim.ncols:
             for row in _color_matrix(block, slots, mwidth, lwidth):
                 nz = np.flatnonzero(row)
-                elim.add_row(dict(zip(nz.tolist(), row[nz].tolist())))
+                elim.add_row(dict(zip(nz.tolist(), map(int, row[nz].tolist()))))
     return [str(_vector_to_qtelem(v, slots, m_degree, l_degree)) for v in elim.nullspace()]
 
 

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusjones import nullspace
+from torusjones.operators import MAX_KERNEL_UNKNOWNS
 from torusjones.nullspace import (
     _BASE_ROWS,
     _SLAB,
-    _fix_mmap_threshold,
+    _fix_malloc_thresholds,
     PRIMES,
     ExactEliminator,
     ModularRREF,
+    _lazy_bound,
     _mod,
     _submul,
     combine,
@@ -25,7 +28,18 @@ from torusjones.nullspace import (
 
 #: ``PRIMES`` and 262147, the smallest prime that ``prime_supply`` yields
 MOD_PRIMES = PRIMES + (262147,)
-TOP = 2**53 - 1
+
+
+def top(p):
+    """The largest magnitude in the range of ``_mod`` mod p."""
+    return 2**53 - p
+
+
+def widest(p):
+    """The largest inner dimension k that ``_submul`` takes mod p: h + k h^2
+    <= 2^53 - p with h = p // 2 + 4."""
+    h = p // 2 + 4
+    return (top(p) - h) // (h * h)
 
 
 def dense_nullspace_fractions(rows, ncols):
@@ -201,14 +215,29 @@ class TestExactEliminator:
 
 
 def mod_boundaries(p):
-    """0, +-1, k p and k p +- 1, +-(2^53 - 1) and +-(chunk (p - 1)^2 + p - 1),
-    the largest magnitude ``_submul`` can produce, as Python ints."""
-    chunk = (1 << 53) // (p * p)
-    vals = {0, 1, TOP, chunk * (p - 1) ** 2 + p - 1}
-    for k in (1, 2, 3, 1 << 20, chunk * p, TOP // p - 1, TOP // p):
-        vals |= {k * p - 1, k * p, k * p + 1}
-    vals = sorted(v for v in vals if v <= TOP)
+    """0, +-1, k p, k p +- 1, k p +- (p - 1)/2 and k p +- (p + 1)/2 (the
+    nearest ties of ``rint``), the largest magnitude ``_submul`` can form and
+    the ends of the range of ``_mod``, +-(2^53 - p), as Python ints."""
+    h = p // 2 + 4
+    vals = {0, 1, top(p), h + widest(p) * h * h}
+    for k in (1, 2, 3, 1 << 20, top(p) // p - 1, top(p) // p):
+        for d in (0, 1, (p - 1) // 2, (p + 1) // 2):
+            vals |= {k * p - d, k * p + d}
+    vals = sorted(v for v in vals if v <= top(p))
     return [-v for v in vals] + vals
+
+
+def assert_signed_residues(got, vals, p):
+    """The contract of ``_mod``: each result is an integer congruent to its
+    input mod p, of magnitude below p/2 + 4, and 0 exactly when p divides the
+    input."""
+    assert len(got) == len(vals)
+    for y, v in zip(got, vals):
+        assert y == int(y), (v, y)
+        y = int(y)
+        assert (v - y) % p == 0, (v, y)
+        assert abs(y) < p / 2 + 4, (v, y)
+        assert (y == 0) == (v % p == 0), (v, y)
 
 
 class TestMod:
@@ -217,16 +246,20 @@ class TestMod:
         vals = mod_boundaries(p)
         x = np.array(vals, dtype=np.float64)
         assert x.tolist() == vals
-        assert _mod(x, p).tolist() == [v % p for v in vals]
+        assert_signed_residues(_mod(x, p).tolist(), vals, p)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
-        st.lists(st.integers(-TOP, TOP), min_size=1, max_size=40),
-        st.sampled_from(MOD_PRIMES),
+        st.sampled_from(MOD_PRIMES).flatmap(
+            lambda p: st.tuples(
+                st.just(p), st.lists(st.integers(-top(p), top(p)), min_size=1, max_size=40)
+            )
+        )
     )
-    def test_matches_integer_mod(self, vals, p):
+    def test_matches_integer_mod(self, case):
+        p, vals = case
         x = np.array(vals, dtype=np.float64)
-        assert _mod(x, p).tolist() == [v % p for v in vals]
+        assert_signed_residues(_mod(x, p).tolist(), vals, p)
 
     @pytest.mark.parametrize(
         "shape, view",
@@ -242,29 +275,35 @@ class TestMod:
         # which are reduced in place and leave the rest of the array alone
         p = PRIMES[0]
         rng = np.random.default_rng(7)
-        x = rng.integers(-TOP, TOP, size=shape, endpoint=True)
-        ref = x.astype(object)
-        ref[view] %= p
+        x = rng.integers(-top(p), top(p), size=shape, endpoint=True)
         y = x.astype(np.float64)
         v = y[view]
         assert _mod(v, p) is v
-        assert (y.astype(np.int64) == ref.astype(np.int64)).all()
+        assert_signed_residues(v.ravel().tolist(), x[view].ravel().tolist(), p)
+        rest = np.ones(shape, dtype=bool)
+        rest[view] = False
+        assert (y[rest].astype(np.int64) == x[rest]).all()
 
     @pytest.mark.parametrize("p", [PRIMES[0], MOD_PRIMES[-1]])
     def test_submul_matches_integer_arithmetic(self, p):
-        # an inner dimension of two chunks and one more column; all entries
-        # p - 1 make each chunk's product the largest one _submul subtracts
-        chunk = (1 << 53) // (p * p)
+        # all entries +-(h - 1) with aligned signs at the widest inner
+        # dimension make the largest product _submul subtracts; then random
+        # signed residues
+        h = p // 2 + 4
+        k = widest(p)
         rng = np.random.default_rng(8)
-        for A, B in (
-            (np.full((2, 2 * chunk + 1), p - 1), np.full((2 * chunk + 1, 3), p - 1)),
-            (rng.integers(0, p, (2, chunk + 3)), rng.integers(0, p, (chunk + 3, 3))),
+        for A, B, X in (
+            (np.full((2, k), h - 1), np.full((k, 3), -(h - 1)), np.full((2, 3), h - 1)),
+            (
+                rng.integers(-(h - 1), h, (2, k)),
+                rng.integers(-(h - 1), h, (k, 3)),
+                rng.integers(-(h - 1), h, (2, 3)),
+            ),
         ):
-            X = rng.integers(0, p, (2, 3))
-            ref = (X.astype(object) - A.astype(object) @ B.astype(object)) % p
+            ref = X.astype(object) - A.astype(object) @ B.astype(object)
             Y = X.astype(np.float64)
             assert _submul(Y, A.astype(np.float64), B.astype(np.float64), p) is Y
-            assert Y.tolist() == ref.tolist()
+            assert_signed_residues(Y.ravel().tolist(), ref.ravel().tolist(), p)
 
 
 class TestModularRREF:
@@ -403,6 +442,70 @@ class TestModularRREF:
             seen["one_col"] += ncols == 1
         assert min(seen.values()) >= 3, seen
 
+    @pytest.mark.parametrize("p", [PRIMES[0], MOD_PRIMES[-1]])
+    def test_lazy_reduction_worst_case(self, p, monkeypatch):
+        # The top half of a 256-row block (five recursion levels) mixes the
+        # rows of [I | s J] with s = (p - 1)/2, its unique RREF. Each lower
+        # row is s at every column plus a small random excess past column k,
+        # so the plain update B2 -= C @ R1 subtracts k products s * s of one
+        # sign from every entry past k, and the lower rows reach k s^2 before
+        # they are read, near _lazy_bound(ncols, p). The largest magnitude
+        # _mod sees shows it; rank, pivots and the kernel are checked
+        # against the reference.
+        k, extra = 128, 12
+        ncols = k + extra
+        s = (p - 1) // 2
+        rng = np.random.default_rng(11)
+        top_half = np.hstack([np.eye(k, dtype=np.int64), np.full((k, extra), s)])
+        mix = rng.integers(-3, 4, (k, k))
+        mix[np.triu_indices(k)] = 0
+        mix += np.eye(k, dtype=np.int64)  # unit lower triangular, invertible
+        lower = np.full((k, ncols), s)
+        lower[:, k:] += rng.integers(0, 3, (k, extra))
+        B = np.vstack([(mix @ top_half) % p, lower])
+        seen = []
+
+        def recording_mod(x, q):
+            seen.append(np.abs(x).max(initial=0))
+            return _mod(x, q)
+
+        monkeypatch.setattr(nullspace, "_mod", recording_mod)
+        mr = ModularRREF(ncols, p)
+        mr.process_block(B)
+        assert 0.8 * _lazy_bound(ncols, p) < max(seen) <= _lazy_bound(ncols, p)
+        piv, R = rref_mod_p(B, p)
+        assert mr.rank == len(piv)
+        assert mr._pivcols.tolist() == piv
+        assert mr.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
+
+    def test_engine_too_wide_for_the_bound_is_refused(self):
+        # the widest engine whose lazy reduction stays in the range of _mod
+        # is built, one column more is refused before anything is allocated;
+        # MAX_KERNEL_UNKNOWNS is far inside for every prime of the supply
+        for p in MOD_PRIMES:
+            n = widest(p) - _BASE_ROWS
+            assert _lazy_bound(n, p) <= top(p) < _lazy_bound(n + 1, p)
+            assert ModularRREF(n, p).ncols == n
+            with pytest.raises(ValueError, match="past the exact float64 range"):
+                ModularRREF(n + 1, p)
+            assert _lazy_bound(MAX_KERNEL_UNKNOWNS, p) < top(p) // 4
+
+    def test_float_input_matches_integer_input(self):
+        # float64 blocks with entries up to FLOAT_INPUT_BOUND, which the
+        # input split reduces, give the same engine as the int64 blocks
+        rng = np.random.default_rng(13)
+        p, ncols = PRIMES[0], 60
+        bound = nullspace.FLOAT_INPUT_BOUND
+        base = rng.integers(-bound + 1, bound, (40, ncols))
+        blocks = [base[:25], base[25:], base[rng.integers(0, 40, 9)]]
+        ints, floats = ModularRREF(ncols, p), ModularRREF(ncols, p)
+        for blk in blocks:
+            assert ints.process_block(blk) == floats.process_block(blk.astype(np.float64))
+            assert ints._pivcols.tolist() == floats._pivcols.tolist()
+            assert ints.nullspace_mod_p() == floats.nullspace_mod_p()
+        piv, R = rref_mod_p(np.vstack(blocks), p)
+        assert floats.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
+
     @pytest.mark.parametrize("dtype", [object, np.int64])
     def test_integer_input_is_reduced_before_the_float_cast(self, dtype):
         # v = 1 mod p, but float64(v) rounds away the 1 and reads as 0 mod p
@@ -414,12 +517,12 @@ class TestModularRREF:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
     def test_engine_fixes_the_mmap_threshold(self):
-        # the first engine of a process turns glibc's adaptive threshold
+        # the first engine of a process turns glibc's adaptive thresholds
         # off, which keeps the peak RSS of a run independent of what the
         # process freed before it
         ModularRREF(1, PRIMES[0])
-        assert _fix_mmap_threshold.cache_info().currsize == 1
-        assert _fix_mmap_threshold()
+        assert _fix_malloc_thresholds.cache_info().currsize == 1
+        assert _fix_malloc_thresholds()
 
 
 def exact_eliminator(rows, ncols):
