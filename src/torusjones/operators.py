@@ -100,12 +100,15 @@ class VerifyReport:
         return out
 
 
-def sweep(identity: str, a: int, b: int, n_range: tuple, residual) -> VerifyReport:
-    """Search the inclusive n_range for the first n whose residual(n) is
-    nonzero; that n and its residual are the failure witness."""
+def sweep(identity: str, a: int, b: int, n_range: tuple, residuals) -> VerifyReport:
+    """Search the inclusive n_range for the first n whose residual is
+    nonzero; that n and its residual are the failure witness.
+    ``residuals(colors)`` gives the residuals of a ``range`` of colors in
+    order, as a list or lazily: the operator values come from one
+    ``QTElem.apply`` call over the whole range."""
     lo, hi = n_range
-    for n in range(lo, hi + 1):
-        value = residual(n)
+    colors = range(lo, hi + 1)
+    for n, value in zip(colors, residuals(colors)):
         if not value.is_zero():
             return VerifyReport(identity, a, b, lo, hi, "fail", n, str(value))
     return VerifyReport(identity, a, b, lo, hi, "pass")
@@ -323,7 +326,10 @@ def verify_lemma_Q(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyRep
     a, b = K.a, K.b
     cleared = TPoly({2: 1, -2: -1}) * build_Q(a, b).element
     factor = (lambda_poly(a + b) - lambda_poly(a - b)).shift(2 * a * b - 2)
-    return sweep("lemmaQ", a, b, n_range, lambda n: cleared.apply(jser, n) - factor * h_seq(K, n))
+    return sweep(
+        "lemmaQ", a, b, n_range,
+        lambda ns: (v - factor * h_seq(K, n) for n, v in zip(ns, cleared.apply(jser, ns))),
+    )
 
 
 def verify_lemma_P(K: TorusKnot, n_range: tuple) -> VerifyReport:
@@ -347,7 +353,7 @@ def verify_recurrence(K: TorusKnot, which: str, jser: DiscreteSeq, n_range: tupl
     else:
         raise ValueError(f"unknown recurrence kind {which!r}")
     D = recurrence_operator(K)
-    return sweep(name, a, b, n_range, lambda n: D.apply(jser, n) - rhs(n))
+    return sweep(name, a, b, n_range, lambda ns: (v - rhs(n) for n, v in zip(ns, D.apply(jser, ns))))
 
 
 def verify_sigma_fixed(op: NamedOperator) -> VerifyReport:
@@ -365,7 +371,7 @@ def verify_pq_consistency(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> Ve
     qj = acted(q.element, jser, "QJ")
     return sweep(
         "pq-consistency", K.a, K.b, n_range,
-        lambda n: pq.element.apply(jser, n) - p.element.apply(qj, n),
+        lambda ns: (u - v for u, v in zip(pq.element.apply(jser, ns), p.element.apply(qj, ns))),
     )
 
 

@@ -26,21 +26,25 @@ about ab*n^2/2 coefficients. The colored Jones sequence is filled in this
 layout directly; a sequence whose rule gives ``TPoly`` values (h, ``acted``,
 test tables) goes through ``_dense``, the one adapter.
 
-``QTElem.apply`` computes the action on the marks: every monomial of every
-term scatters its coefficient times the marks of f(n+l) into one
-accumulator (one per lattice gap), and one cumulative sum per residue class
-turns it into the result. Every accumulated mark is at most 2 * sum |c| * max|f(n+l)| over
-the contributions in absolute value, and every partial sum is an output
-coefficient, so the accumulator is int64 when twice that bound is below
-2^62 and a numpy object array of Python ints otherwise; the action is exact
-for any coefficient size.
+``QTElem.apply`` computes the action on the marks, for one color or a
+range of colors in one call: every monomial of every term, at every color,
+scatters its coefficient times the marks of f(n+l) into that color's
+segment of one accumulator (one per lattice gap), and one cumulative sum
+per residue class turns the accumulators into the values of all colors at
+once. Every accumulated mark is at most 2 * sum |c| * max|f(n+l)| over a
+color's contributions in absolute value, and every partial sum is an
+output coefficient, so a color's accumulator is int64 when twice that
+bound is below 2^62 and a numpy object array of Python ints otherwise; the
+action is exact for any coefficient size. The verification sweeps
+(``operators.sweep``) check a whole n-range with one call per operator.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import Callable, Mapping
+import itertools
+import operator
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,7 +67,7 @@ class QTElem(SparseRing):
     scalars (the center's constants).
     """
 
-    __slots__ = ()
+    __slots__ = ("_table",)
 
     ONE_KEY = (0, 0)
     SCALARS = (int, TPoly)
@@ -138,69 +142,46 @@ class QTElem(SparseRing):
                 out[(k, l)] = v
         return MLPoly(out)
 
-    def apply(self, f: "DiscreteSeq", n: int) -> TPoly:
+    def apply(self, f: "DiscreteSeq", n: "int | range") -> "TPoly | list":
         """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l).
 
-        Each distinct f(n+l) is read once from the sequence's cache, already
-        dense (``DiscreteSeq.dense``). Every monomial c t^e of a_{k,l} lands
-        at exponent e + 2kn + (lowest exponent of f(n+l)); it scatters c
-        times the run marks of f(n+l) into an accumulator on the output
-        lattice, at its offset plus its gap times each mark's position. A
-        cumulative sum along each residue class mod the gap then gives the
-        result. Values of different gaps get one accumulator per gap; a
-        single-term value fits any gap. The accumulator is int64 when
-        2 * sum |c| * max|f(n+l)| over all contributions is below 2^62, and
-        a Python-int object array otherwise, so the result is exact either
+        ``n`` is a color, or a ``range`` of colors whose values come back as
+        a list (empty for an empty range); a color is the range of one.
+        Every t-monomial c t^e M^k L^l of the operator and every color n
+        make one contribution: f(n+l), read once per call from the
+        sequence's cache (``DiscreteSeq.dense``), lands at exponent
+        e + 2kn + (lowest exponent of f(n+l)). Each color gets the output
+        lattice of its contributions and its own segment of one accumulator
+        per lattice gap. A contribution scatters c times the run marks of
+        f(n+l) into it, at its offset plus its gap times each mark's
+        position, and one cumulative sum per residue class mod the gap
+        turns the accumulators into the values. The marks of a contribution
+        sum to zero, so each segment ends at zero in every residue class
+        and leaks nothing into the next one; segments need no alignment. A
+        single-term value fits any gap. A color's accumulator is int64 when
+        2 * sum |c| * max|f(n+l)| over its contributions is below 2^62, and
+        a Python-int object array otherwise, so the values are exact either
         way.
+
+        Chunks bound the scratch memory: the colors are laid out in chunks
+        of consecutive colors whose accumulator cells stay within
+        ``_CHUNK_LIMIT``, and a chunk scatters its contributions at most
+        ``_CHUNK_LIMIT`` marks at a time. A chunk always takes at least
+        one color, and a scatter at least one contribution, so a range
+        needs about as much scratch memory as its largest color alone.
         """
-        values = {}
-        for (_k, l) in self.terms:
-            if l not in values:
-                values[l] = f.dense(n + l)
-        # contributions that land on the same array at the same offset add up
-        groups: dict = {}  # l -> {exponent where f(n+l) lands: coefficient}
-        for (k, l), c in self.terms.items():
-            v = values[l]
-            if v is None:
-                continue
-            group = groups.setdefault(l, {})
-            shift = 2 * k * n + v[0]
-            for e, ce in c.terms.items():
-                group[e + shift] = group.get(e + shift, 0) + ce
-        groups = {l: {s: c for s, c in g.items() if c} for l, g in groups.items()}
-        groups = {l: g for l, g in groups.items() if g}
-        if not groups:
-            return TPoly.zero()
-        base = min(min(g) for g in groups.values())
-        step = 0
-        top = base
-        bound = 0
-        for l, g in groups.items():
-            _lo, stride, arr, vmax, _pos, _marks = values[l]
-            step = math.gcd(step, stride, *(s - base for s in g))
-            top = max(top, max(g) + stride * (len(arr) - 1))
-            bound += sum(map(abs, g.values())) * vmax
-        step = step or 1
-        size = (top - base) // step + 1
-        dtype = np.int64 if 2 * bound < _INT64_SAFE else object
-        single_gap = min((values[l][1] // step for l in groups if values[l][1]), default=1)
-        accs: dict = {}  # gap -> accumulator of that gap's marks
-        for l, g in groups.items():
-            _lo, stride, _arr, _vmax, pos, marks = values[l]
-            gap = stride // step or single_gap
-            if gap not in accs:
-                # closing marks reach one gap past the end
-                accs[gap] = np.zeros((-(-size // gap) + 1) * gap, dtype=dtype)
-            offs = (np.fromiter(g, dtype=np.int64, count=len(g)) - base) // step
-            cs = np.array(list(g.values()), dtype=dtype)
-            at = np.add.outer(offs, gap * pos).ravel()
-            np.add.at(accs[gap], at, np.multiply.outer(cs, marks.astype(dtype, copy=False)).ravel())
-        out = None
-        for gap, acc in accs.items():
-            grid = acc.reshape(-1, gap)
-            np.cumsum(grid, axis=0, out=grid)
-            out = acc[:size] if out is None else out + acc[:size]
-        return _sparse(base, step, out)
+        colors = n if isinstance(n, range) else range(n, n + 1)
+        values = _act(self._monomials(), f, colors)
+        return values if isinstance(n, range) else values[0]
+
+    def _monomials(self) -> "_Monomials":
+        """The monomial table of ``apply``, built on first use: elements are
+        immutable."""
+        try:
+            return self._table
+        except AttributeError:
+            self._table = _monomials(self.terms)
+            return self._table
 
     def coefficient(self, k: int, l: int) -> TPoly:
         return self.terms.get((k, l), TPoly.zero())
@@ -209,6 +190,160 @@ class QTElem(SparseRing):
 #: int64 holds the marks, and the accumulator of ``QTElem.apply``, only when
 #: twice the coefficient bound is below this
 _INT64_SAFE = 1 << 62
+
+
+#: a chunk of colors in ``QTElem.apply`` has at most this many accumulator
+#: cells, and scatters at most this many marks at a time, unless a single
+#: color or contribution needs more
+_CHUNK_LIMIT = 1 << 12
+
+#: above every exponent: the identity of the masked minima in ``_act``
+_BIG = np.iinfo(np.int64).max
+#: the dense layout of a zero value, as ``_act`` reads it
+_ABSENT = (0, 0, np.zeros(1, dtype=np.int64), 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+class _Monomials(NamedTuple):
+    """The monomials c t^e M^k L^l of an operator, for ``_act``: the
+    distinct l in ``lvals``, and per monomial the index of its l, 2k, e and
+    c; ``weight[i]`` is sum |c| over the monomials of the i-th l."""
+
+    lvals: list
+    li: np.ndarray
+    k2: np.ndarray
+    e: np.ndarray
+    c: np.ndarray
+    weight: list
+
+
+def _monomials(terms: dict) -> _Monomials:
+    lvals = sorted({l for _k, l in terms})
+    lpos = {l: i for i, l in enumerate(lvals)}
+    weight = [0] * len(lvals)
+    ks, li, es, cs = [], [], [], []
+    for (k, l), a in terms.items():
+        i, m = lpos[l], len(a.terms)
+        weight[i] += sum(map(abs, a.terms.values()))
+        ks += [2 * k] * m
+        li += [i] * m
+        es += a.terms
+        cs += a.terms.values()
+    try:
+        c = np.array(cs, dtype=np.int64)
+    except OverflowError:
+        c = np.array(cs, dtype=object)
+    return _Monomials(lvals, np.array(li, dtype=np.intp), np.array(ks, dtype=np.int64), np.array(es, dtype=np.int64), c, weight)
+
+
+def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
+    """(op f)(n) for every n in colors, computed as ``QTElem.apply`` says,
+    for the operator op of the monomial table."""
+    lvals, li, k2, es, coeffs, weight = table
+    if not lvals or not colors:
+        return [TPoly.zero() for _ in colors]
+
+    # every value f(n+l) the colors read, once: color j reads value vi[j, i]
+    # for the i-th distinct l. Each row of pos and marks holds the run
+    # marks of one value, padded with zero marks at position 0.
+    reads = sorted({n + l for n in colors for l in lvals})
+    index = {m: u for u, m in enumerate(reads)}
+    vi = np.array([[index[n + l] for l in lvals] for n in colors], dtype=np.intp)
+    values = [f.dense(m) or _ABSENT for m in reads]
+    low, stride, span, count, vmax = zip(*((v[0], v[1], v[1] * (len(v[2]) - 1), len(v[4]), v[3]) for v in values))
+    low, stride, span, count = (np.array(x, dtype=np.int64) for x in (low, stride, span, count))
+    width = int(count.max())
+    pos = np.zeros((len(values), width), dtype=np.int64)
+    marks = np.zeros((len(values), width), dtype=object if any(v[5].dtype == object for v in values) else np.int64)
+    for u, v in enumerate(values):
+        pos[u, : len(v[4])] = v[4]
+        marks[u, : len(v[4])] = v[5]
+
+    # colors x monomials: is there a value, and where does it land
+    pres = count[vi] > 0
+    valid = pres[:, li]
+    x = np.multiply.outer(np.array(colors, dtype=np.int64), k2)
+    x += es
+    x += low[vi][:, li]
+    # each color's output lattice: lowest exponent, step and size
+    live = pres.any(axis=1)
+    base = np.where(valid, x, _BIG).min(axis=1)
+    base[~live] = 0
+    st = stride[vi]
+    step = np.gcd(np.gcd.reduce(np.where(valid, x - base[:, None], 0), axis=1), np.gcd.reduce(st, axis=1))
+    step[step == 0] = 1
+    top = np.where(valid, x + span[vi][:, li], base[:, None]).max(axis=1)
+    size = np.where(live, (top - base) // step + 1, 0)
+    # colors x distinct l: the gap of the value read; a single-term value
+    # fits any gap, and takes its color's smallest
+    gap = st // step[:, None]
+    single = np.where(gap > 0, gap, _BIG).min(axis=1)
+    gap = np.where(gap > 0, gap, np.where(single < _BIG, single, 1)[:, None])
+    wide = [2 * sum(map(operator.mul, weight, map(vmax.__getitem__, row))) >= _INT64_SAFE for row in vi.tolist()]
+
+    def scatter(a: int, b: int) -> list:
+        jj, ii = np.nonzero(valid[a:b])
+        if not len(jj):
+            return [TPoly.zero() for _ in range(a, b)]
+        jc, lc = jj + a, li[ii]
+        gaps = sorted(set(gap[a:b][pres[a:b]].tolist()))
+        # one segment per color, long enough for its closing marks, and
+        # one region of segments per gap
+        seg = np.where(live[a:b], size[a:b] + gaps[-1], 0)
+        cell = np.cumsum(seg) - seg
+        total = int(cell[-1] + seg[-1])
+        lens = [-(-total // gp) * gp for gp in gaps]
+        region = [0, *itertools.accumulate(lens)]
+        origin = (x[jc, ii] - base[jc]) // step[jc]
+        origin += cell[jj]
+        g = gap[jc, lc]
+        for r, gp in zip(region[1:-1], gaps[1:]):
+            origin[g == gp] += r
+        dtype = object if any(wide[a:b]) else np.int64
+        acc = np.zeros(region[-1], dtype=dtype)
+        # the marks of (color, l) scaled by its gap, and the rows of them
+        # that the contributions read, _CHUNK_LIMIT marks at a time
+        m = int(count[vi[a:b]].max())
+        scaled = (pos[vi[a:b], :m] * gap[a:b, :, None]).reshape(-1, m)
+        row = jj * len(lvals) + lc
+        u = vi[jc, lc]
+        coef = coeffs[ii].astype(dtype, copy=False)[:, None]
+        rows = max(1, _CHUNK_LIMIT // m)
+        for r in range(0, len(u), rows):
+            s = slice(r, r + rows)
+            at = scaled[row[s]]
+            at += origin[s, None]
+            vals = marks[u[s], :m].astype(dtype, copy=False)
+            vals *= coef[s]
+            np.add.at(acc, at.ravel(), vals.ravel())
+        for r, gp, ln in zip(region, gaps, lens):
+            grid = acc[r : r + ln].reshape(-1, gp)
+            np.cumsum(grid, axis=0, out=grid)
+        res = acc[:total]
+        for r in region[1:-1]:
+            res += acc[r : r + total]
+        nz = np.flatnonzero(res)
+        cut = np.searchsorted(nz, cell).tolist() + [len(nz)]
+        per = np.diff(cut)
+        exps = nz * np.repeat(step[a:b], per)
+        exps += np.repeat(base[a:b] - step[a:b] * cell, per)
+        exps, coefs = exps.tolist(), res[nz].tolist()
+        return [TPoly._wrap(dict(zip(exps[c0:c1], coefs[c0:c1]))) for c0, c1 in zip(cut, cut[1:])]
+
+    # at most this many accumulator cells per color: its segment in every gap
+    cells = np.where(live, size + np.where(pres, gap, 0).max(axis=1), 0) * len(set(gap[pres].tolist()))
+    return [v for a, b in _chunks(cells.tolist()) for v in scatter(a, b)]
+
+
+def _chunks(cells: list):
+    """(start, stop) of consecutive colors, in order, with at most
+    ``_CHUNK_LIMIT`` cells in all, or one color."""
+    start = used = 0
+    for j, c in enumerate(cells):
+        if j > start and used + c > _CHUNK_LIMIT:
+            yield start, j
+            start, used = j, 0
+        used += c
+    yield start, len(cells)
 
 
 def _dense(v: TPoly):

@@ -1,13 +1,28 @@
-"""Differential tests: the dense ``QTElem.apply`` against the sparse loop
-sum of (c * f(n+l)).shift(2kn) in exact TPoly arithmetic."""
+"""Differential tests: the dense ``QTElem.apply``, on one color and on a
+range of colors, against the sparse loop sum of (c * f(n+l)).shift(2kn) in
+exact TPoly arithmetic; and the reports of the sweeps, which apply each
+operator once per range, against a per-color loop of that sparse action."""
+
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusjones.jones import SUITE_KNOTS, h_sequence
+from torusjones import jones, operators, qtorus
+from torusjones.jones import SUITE_KNOTS, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
 from torusjones.laurent import TPoly
-from torusjones.operators import build_named
+from torusjones.operators import (
+    NamedOperator,
+    VerifyReport,
+    build_named,
+    recurrence_operator,
+    verify_annihilation,
+    verify_lemma_P,
+    verify_lemma_Q,
+    verify_recurrence,
+)
 from torusjones.qtorus import DiscreteSeq, QTElem, _dense, parse
 
 COLORS = range(1, 21)
@@ -39,10 +54,10 @@ def test_named_operator_matches_sparse(name, index, jcache):
     other = jcache(SUITE_KNOTS[(index + 1) % len(SUITE_KNOTS)])
     nonzero = 0
     for f in (own, other):
-        for n in COLORS:
-            dense = op.apply(f, n)
-            assert dense == sparse_apply(op, f, n), (name, str(K), f.name, n)
-            nonzero += not dense.is_zero()
+        dense = op.apply(f, COLORS)
+        for n, value in zip(COLORS, dense, strict=True):
+            assert value == sparse_apply(op, f, n), (name, str(K), f.name, n)
+            nonzero += not value.is_zero()
     assert nonzero >= len(COLORS)
 
 
@@ -100,9 +115,16 @@ class TestBoundRule:
     def test_zero_sequence_and_zero_operator(self):
         zero = DiscreteSeq("zero", lambda n: TPoly.zero())
         assert parse("M*L + t^3").apply(zero, 5).is_zero()
+        assert parse("M*L + t^3").apply(zero, range(-2, 3)) == [TPoly.zero()] * 5
         one = DiscreteSeq("one", lambda n: TPoly.one())
         assert QTElem.zero().apply(one, 5).is_zero()
+        assert QTElem.zero().apply(one, range(0, 3)) == [TPoly.zero()] * 3
         assert parse("L - 1").apply(one, 5).is_zero()
+
+    def test_empty_range(self):
+        one = DiscreteSeq("one", lambda n: TPoly.one())
+        assert parse("M*L + t^3").apply(one, range(4, 4)) == []
+        assert QTElem.zero().apply(one, range(2, 1)) == []
 
 
 def test_mixed_strides_in_one_call():
@@ -119,6 +141,7 @@ def test_mixed_strides_in_one_call():
         dense = op.apply(f, n)
         assert dense == sparse_apply(op, f, n), n
     assert not op.apply(f, 0).is_zero()
+    assert op.apply(f, range(-3, 4)) == [sparse_apply(op, f, n) for n in range(-3, 4)]
 
 
 # --- property test over random sparse sequences and parsed operators --------
@@ -149,7 +172,8 @@ def sequences(draw, coeffs):
     table = {}
     for n in draw(st.lists(st.integers(-6, 6), max_size=9, unique=True)):
         exps = draw(exponent_sets())
-        table[n] = TPoly({e: draw(coeffs) for e in exps})
+        # a table color may hold zero
+        table[n] = TPoly({e: draw(coeffs) for e in exps}) if draw(st.integers(0, 5)) else TPoly.zero()
     return DiscreteSeq("table", lambda n: table.get(n, TPoly.zero()))
 
 
@@ -173,13 +197,157 @@ def operator_texts(draw, coeffs):
 
 @st.composite
 def cases(draw):
+    """Operator text, sequence, one color, a color range in -6..6 (maybe
+    empty) and a chunk limit: the default one, or small ones that split the
+    range into chunks of colors and the scatter into blocks of marks."""
     coeffs = draw(st.sampled_from([SMALL, WIDE]))
-    return draw(operator_texts(coeffs)), draw(sequences(coeffs)), draw(st.integers(-4, 4))
+    lo = draw(st.integers(-6, 6))
+    colors = range(lo, draw(st.integers(lo - 1, 6)) + 1)
+    limit = draw(st.sampled_from([qtorus._CHUNK_LIMIT, 1, 24]))
+    return draw(operator_texts(coeffs)), draw(sequences(coeffs)), draw(st.integers(-4, 4)), colors, limit
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=cases())
 def test_dense_apply_matches_sparse(case):
-    text, f, n = case
+    text, f, n, colors, limit = case
     op = parse(text)
-    assert op.apply(f, n) == sparse_apply(op, f, n)
+    with mock.patch.object(qtorus, "_CHUNK_LIMIT", limit):
+        assert op.apply(f, n) == sparse_apply(op, f, n)
+        assert op.apply(f, colors) == [sparse_apply(op, f, m) for m in colors]
+
+
+# --- the sweeps: one apply per range, the witness of a per-color loop --------
+
+
+def per_color_report(identity: str, K: TorusKnot, colors: range, residual) -> VerifyReport:
+    """The report of a sweep that computes residual(n) color by color."""
+    for n in colors:
+        value = residual(n)
+        if not value.is_zero():
+            return VerifyReport(identity, K.a, K.b, colors[0], colors[-1], "fail", n, str(value))
+    return VerifyReport(identity, K.a, K.b, colors[0], colors[-1], "pass")
+
+
+def off_at(fn, color: int):
+    """fn, off by t^7 at one color; fn(n) or fn(K, n)."""
+    return lambda *args: fn(*args) + TPoly({7: 1}) if args[-1] == color else fn(*args)
+
+
+def at_position(colors: range, where: str) -> int:
+    return {"first": colors[0], "middle": colors[len(colors) // 2], "last": colors[-1]}[where]
+
+
+ANNIHILATORS = [
+    ("F", TorusKnot(3, 4), (1, 20)),
+    ("PQ", TorusKnot(5, 7), (4, 20)),
+    ("G", TorusKnot(2, 7), (1, 20)),
+    ("R", TorusKnot(2, 7), (3, 20)),
+]
+
+
+@pytest.mark.parametrize("where", ["operator", "first", "middle", "last"])
+@pytest.mark.parametrize("name,K,n_range", ANNIHILATORS, ids=lambda v: str(v) if isinstance(v, TorusKnot) else None)
+def test_annihilator_witness_matches_per_color_loop(name, K, n_range, where, jcache):
+    """A perturbed operator fails at the first color; J off at color w + (top
+    L-degree of the operator) first fails at w."""
+    op = build_named(name, K)
+    colors = range(n_range[0], n_range[1] + 1)
+    f = jcache(K)
+    if where == "operator":
+        op = NamedOperator(name, K.a, K.b, op.element + parse("t^3*M*L"))
+        witness = colors[0]
+    else:
+        witness = at_position(colors, where)
+        top = max(l for _k, l in op.element.terms)
+        f = DiscreteSeq("J off at one color", off_at(f, witness + top))
+    expected = per_color_report(name, K, colors, lambda n: sparse_apply(op.element, f, n))
+    assert expected.witness_n == witness
+    assert verify_annihilation(op, f, n_range) == expected
+
+
+@pytest.mark.parametrize(
+    "name,K,n_range,limit",
+    [("PQ", TorusKnot(5, 7), (4, 20), None), ("G", TorusKnot(2, 7), (-6, 30), 1500)],
+)
+def test_witness_inside_a_later_chunk(name, K, n_range, limit, monkeypatch, jcache):
+    """The range is split into chunks of colors (at the default limit, or
+    at a lower one that puts several colors in a chunk), and J is off so
+    that the first failing color lies inside a later chunk."""
+    if limit is not None:
+        monkeypatch.setattr(qtorus, "_CHUNK_LIMIT", limit)
+    seen = []
+    chunks = qtorus._chunks
+    monkeypatch.setattr(qtorus, "_chunks", lambda cells: seen.append(list(chunks(cells))) or iter(seen[-1]))
+    op = build_named(name, K)
+    colors = range(n_range[0], n_range[1] + 1)
+    assert verify_annihilation(op, jcache(K), n_range).passed
+    (layout,) = seen
+    assert len(layout) > 2
+    start, stop = max(layout[1:], key=lambda chunk: chunk[1] - chunk[0])
+    witness = colors[(start + stop) // 2]
+    top = max(l for _k, l in op.element.terms)
+    f = DiscreteSeq("J off at one color", off_at(jcache(K), witness + top))
+    expected = per_color_report(name, K, colors, lambda n: sparse_apply(op.element, f, n))
+    assert expected.witness_n == witness
+    assert verify_annihilation(op, f, n_range) == expected
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_recurrence_witness_matches_per_color_loop(where, monkeypatch, jcache):
+    K, n_range = TorusKnot(3, 4), (-5, 24)
+    colors = range(n_range[0], n_range[1] + 1)
+    witness = at_position(colors, where)
+    monkeypatch.setattr(operators, "g_seq", off_at(g_seq, witness + 1))
+    D = recurrence_operator(K)
+    J = jcache(K)
+    expected = per_color_report("recurrence3", K, colors, lambda n: sparse_apply(D, J, n) - operators.g_seq(K, n + 1))
+    assert expected.witness_n == witness
+    assert verify_recurrence(K, "three_term", J, n_range) == expected
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_lemma_Q_witness_matches_per_color_loop(where, monkeypatch, jcache):
+    K, n_range = TorusKnot(3, 5), (-4, 16)
+    colors = range(n_range[0], n_range[1] + 1)
+    witness = at_position(colors, where)
+    monkeypatch.setattr(operators, "h_seq", off_at(h_seq, witness))
+    cleared = TPoly({2: 1, -2: -1}) * operators.build_Q(K.a, K.b).element
+    factor = (operators.lambda_poly(K.a + K.b) - operators.lambda_poly(K.a - K.b)).shift(2 * K.a * K.b - 2)
+    J = jcache(K)
+    expected = per_color_report("lemmaQ", K, colors, lambda n: sparse_apply(cleared, J, n) - factor * operators.h_seq(K, n))
+    assert expected.witness_n == witness
+    assert verify_lemma_Q(K, J, n_range) == expected
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_lemma_P_witness_matches_per_color_loop(where, monkeypatch):
+    K, n_range = TorusKnot(3, 4), (-5, 15)
+    colors = range(n_range[0], n_range[1] + 1)
+    witness = at_position(colors, where)
+    P = operators.build_P(K.a, K.b).element
+    top = max(l for _k, l in P.terms)
+    monkeypatch.setattr(jones, "h_seq", off_at(h_seq, witness + top))
+    h = h_sequence(K)
+    expected = per_color_report("lemmaP", K, colors, lambda n: sparse_apply(P, h, n))
+    assert expected.witness_n == witness
+    assert verify_lemma_P(K, n_range) == expected
+
+
+def test_range_needs_about_the_memory_of_its_largest_color():
+    """With J filled, one call over the sweep's colors 4..60 peaks at most at
+    twice the scratch memory of its largest color alone."""
+    op = build_named("PQ", TorusKnot(5, 7)).element
+    J = jones_sequence(TorusKnot(5, 7))
+    op.apply(J, range(4, 61))  # fills J(-2..66)
+
+    def peak(n) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op.apply(J, n)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(range(4, 61)) <= 2 * peak(60)
