@@ -52,34 +52,26 @@ def factorizations(op: NamedOperator) -> tuple:
     return displays(op.a, op.b)
 
 
-def epsilon_diffs(op: NamedOperator) -> list:
-    """epsilon(op) minus each displayed factorized form, from one t = -1
-    reduction."""
+def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:
+    """epsilon(op) must equal every displayed factorized form exactly."""
     image = op.element.epsilon()
-    return [image - parse(text, MLPoly) for text in factorizations(op)]
-
-
-def check_epsilon_factorization(op: NamedOperator, diffs: list | None = None) -> VerifyReport:
-    """epsilon(op) must equal every displayed factorized form exactly;
-    ``diffs`` are its ``epsilon_diffs`` when the caller has them."""
-    diffs = epsilon_diffs(op) if diffs is None else diffs
+    diffs = [image - parse(text, MLPoly) for text in factorizations(op)]
     mismatch = next((diff for diff in diffs if not diff.is_zero()), None)
     return check_report(f"epsilon({op.name})", op.a, op.b, mismatch)
 
 
-def check_p_membership_powers(K: TorusKnot, reduced: dict | None = None) -> VerifyReport:
+def check_p_membership_powers(K: TorusKnot, op: NamedOperator | None = None) -> VerifyReport:
     """The power identities placing A-ideal elements inside the reduced
     recurrence ideal: epsilon(PQ) = L^{-2} A'^4 for a > 2, epsilon(R) = A'^2
     for a = 2, as the first display of PQ or R writes them.
 
-    ``reduced`` maps operator names of K to their ``epsilon_diffs``; with
-    PQ or R there, the check reads its first difference and builds nothing.
+    ``op`` is K's PQ or R when the caller has built it; without it the check
+    builds its own.
     """
-    diffs = (reduced or {}).get("R" if K.a == 2 else "PQ")
-    if diffs is None:
+    if op is None:
         op = build_R(K.b) if K.a == 2 else build_PQ(K.a, K.b)
-        diffs = [op.element.epsilon() - parse(factorizations(op)[0], MLPoly)]
-    return check_report("p-membership", K.a, K.b, diffs[0])
+    diff = op.element.epsilon() - parse(factorizations(op)[0], MLPoly)
+    return check_report("p-membership", K.a, K.b, diff)
 
 
 def check_a_prime_sigma(K: TorusKnot) -> VerifyReport:

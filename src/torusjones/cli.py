@@ -18,6 +18,7 @@ stdout before the output ended (128 + SIGPIPE, as a shell reports it).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -58,13 +59,13 @@ DEFAULT_LAST_N = 20
 class Identity:
     """One identity ``verify`` can check.
 
-    ``run(K, n_range, reduced, jser)`` returns a list of VerifyReports;
-    n_range is None for a static check. One ``verify`` shares ``reduced``
-    and ``jser``, the colored Jones sequence of K, among the runs of K: each
-    J(n) is filled once, and PQ or R is built and reduced once, since the
-    epsilon check stores ``classical.epsilon_diffs`` in ``reduced`` for the
-    p-membership check. Runners look their callees up when they run, so a
-    wrapper patched over a module attribute sees every call.
+    ``run(K, n_range, ops, jser)`` returns a list of VerifyReports; n_range
+    is None for a static check. ``verify`` gives each knot K one colored
+    Jones sequence ``jser`` and one build of each named operator, which
+    ``ops(name)`` makes at its first call and returns after, so every
+    check of K reads the same J(n) and the same operators. Runners look
+    their callees up when they run, so a wrapper patched over a module
+    attribute sees every call.
     """
 
     name: str
@@ -84,25 +85,23 @@ class Identity:
 
 
 def _annihilator(name: str, first_n: int) -> Identity:
-    def run(K, n_range, reduced, jser):
-        return [verify_annihilation(build_named(name, K), jser, n_range)]
+    def run(K, n_range, ops, jser):
+        return [verify_annihilation(ops(name), jser, n_range)]
 
     return Identity(name, OPERATORS[name].family, first_n, run)
 
 
-def _epsilon_checks(K, n_range, reduced, jser):
-    reports = []
-    for name, facts in OPERATORS.items():
-        if facts.displays is not None and in_family(facts.family, K):
-            op = build_named(name, K)
-            reduced[name] = classical.epsilon_diffs(op)
-            reports.append(classical.check_epsilon_factorization(op, reduced[name]))
-    return reports
+def _epsilon_checks(K, n_range, ops, jser):
+    return [
+        classical.check_epsilon_factorization(ops(name))
+        for name, facts in OPERATORS.items()
+        if facts.displays is not None and in_family(facts.family, K)
+    ]
 
 
-def _sigma_checks(K, n_range, reduced, jser):
+def _sigma_checks(K, n_range, ops, jser):
     reports = [
-        verify_sigma_fixed(build_named(name, K))
+        verify_sigma_fixed(ops(name))
         for name, facts in OPERATORS.items()
         if facts.sigma_fixed and in_family(facts.family, K)
     ]
@@ -113,18 +112,19 @@ def _sigma_checks(K, n_range, reduced, jser):
 # PQ reaches J(n-3) and R reaches J(n-2): their default n-ranges start at the
 # first color where every value consumed has a positive color.
 IDENTITY_TABLE = (
-    Identity("recurrence3", "a>2", 1, lambda K, rng, _, J: [verify_recurrence(K, "three_term", J, rng)]),
-    Identity("recurrence2", "a=2", 1, lambda K, rng, _, J: [verify_recurrence(K, "two_term", J, rng)]),
+    Identity("recurrence3", "a>2", 1, lambda K, rng, _, J: [verify_recurrence(K, J, rng)]),
+    Identity("recurrence2", "a=2", 1, lambda K, rng, _, J: [verify_recurrence(K, J, rng)]),
     _annihilator("F", 1),
     _annihilator("G", 1),
     _annihilator("PQ", 4),
     _annihilator("R", 3),
-    Identity("lemmaQ", "a>2", 1, lambda K, rng, _, J: [verify_lemma_Q(K, J, rng)]),
-    Identity("lemmaP", "a>2", 1, lambda K, rng, *_: [verify_lemma_P(K, rng)]),
+    Identity("lemmaQ", "a>2", 1, lambda K, rng, ops, J: [verify_lemma_Q(ops("Q"), J, rng)]),
+    Identity("lemmaP", "a>2", 1, lambda K, rng, ops, _: [verify_lemma_P(ops("P"), rng)]),
     Identity("epsilon", "any", None, _epsilon_checks),
     Identity("sigma", "any", None, _sigma_checks),
     Identity(
-        "p-membership", "any", None, lambda K, rng, reduced, _: [classical.check_p_membership_powers(K, reduced)]
+        "p-membership", "any", None,
+        lambda K, rng, ops, _: [classical.check_p_membership_powers(K, ops("R" if K.a == 2 else "PQ"))],
     ),
 )
 IDENTITIES = {entry.name: entry for entry in IDENTITY_TABLE}
@@ -147,13 +147,13 @@ def parse_range(text: str) -> tuple:
         raise BadParams(f"not a color or range LO..HI: {text!r}") from None
 
 
-def run_check(identity: str, K: TorusKnot, n_range: tuple | None, reduced: dict, jser) -> list:
+def run_check(identity: str, K: TorusKnot, n_range: tuple | None, ops: Callable, jser) -> list:
     """Run one named verification; returns a list of VerifyReports.
-    ``reduced`` and ``jser`` are K's shared ``Identity.run`` arguments."""
+    ``ops`` and ``jser`` are K's shared ``Identity.run`` arguments."""
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise BadParams(f"unknown identity {identity!r}")
-    return entry.run(K, n_range, reduced, jser)
+    return entry.run(K, n_range, ops, jser)
 
 
 def cmd_jones(args) -> int:
@@ -194,14 +194,15 @@ def cmd_verify(args) -> int:
 
     reports = []
     for K in knots:
-        reduced, jser = {}, jones_sequence(K)  # K's checks share them; dropped after K
+        # K's checks share one J and one build of each operator; dropped after K
+        jser, ops = jones_sequence(K), functools.cache(lambda name: build_named(name, K))
         for entry in entries:
             if not entry.applies(K):
                 if not args.suite and args.identity != "all":
                     raise WrongCase(f"identity {entry.name} does not apply to {K}")
                 continue
             rng = None if entry.static else n_range or entry.default_range(args.full_z)
-            reports += run_check(entry.name, K, rng, reduced, jser)
+            reports += run_check(entry.name, K, rng, ops, jser)
     reports.sort(key=lambda r: (r.a, r.b, r.identity, r.n_from))
     failed = False
     for r in reports:

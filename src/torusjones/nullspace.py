@@ -22,7 +22,6 @@ reference that the tests compare the lifted kernels against.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from fractions import Fraction
 
@@ -136,10 +135,10 @@ _TRIM_THRESHOLD_BYTES = 4 << 20
 _MMAP_THRESHOLD_BYTES = 16 << 20
 
 
-@functools.cache
 def _fix_malloc_thresholds() -> bool:
-    """Fix glibc's malloc trim and mmap thresholds, once per process; True
-    if both are set.
+    """Fix glibc's malloc trim and mmap thresholds; True if both are set.
+    Importing this module calls it, so every run of the package, whatever
+    it ran before, allocates under the same thresholds.
 
     By default glibc raises the mmap threshold to the size of each larger
     mmapped block that is freed, up to 32 MiB, and keeps up to twice that
@@ -169,6 +168,9 @@ def _fix_malloc_thresholds() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     trim = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
     return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1 and trim
+
+
+_fix_malloc_thresholds()
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -305,7 +307,6 @@ class ModularRREF:
     def __init__(self, ncols: int, p: int):
         if _lazy_bound(ncols, p) > (1 << 53) - p:
             raise ValueError(f"{ncols} columns are past the exact float64 range of elimination mod {p}")
-        _fix_malloc_thresholds()
         self.p = p
         self.ncols = ncols
         self._X = np.zeros((0, ncols))

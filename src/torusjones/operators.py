@@ -316,15 +316,17 @@ def recurrence_operator(K: TorusKnot) -> QTElem:
     return QTElem.L_pow(2) - QTElem.monomial(TPoly({-4 * a * b: 1}), -2 * a * b, 0)
 
 
-def verify_lemma_Q(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+def verify_lemma_Q(Q: NamedOperator, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
     """Denominator-cleared form: ((t^2 - t^{-2}) Q) J (n) equals
-    t^{2ab-2} (lambda_{a+b} - lambda_{a-b}) h(n), for J = jser.
+    t^{2ab-2} (lambda_{a+b} - lambda_{a-b}) h(n), for J = jser and h the
+    sequence of Q's knot T(a, b).
 
     The t^{2ab-2} scalar is the one the exact computation forces; it is
     constant in n and uniform across knots.
     """
-    a, b = K.a, K.b
-    cleared = TPoly({2: 1, -2: -1}) * build_Q(a, b).element
+    a, b = Q.a, Q.b
+    K = TorusKnot(a, b)
+    cleared = TPoly({2: 1, -2: -1}) * Q.element
     factor = (lambda_poly(a + b) - lambda_poly(a - b)).shift(2 * a * b - 2)
     return sweep(
         "lemmaQ", a, b, n_range,
@@ -332,26 +334,21 @@ def verify_lemma_Q(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyRep
     )
 
 
-def verify_lemma_P(K: TorusKnot, n_range: tuple) -> VerifyReport:
-    """P annihilates the sequence h."""
-    report = verify_annihilation(build_P(K.a, K.b), h_sequence(K), n_range)
+def verify_lemma_P(P: NamedOperator, n_range: tuple) -> VerifyReport:
+    """P annihilates the sequence h of its knot."""
+    report = verify_annihilation(P, h_sequence(TorusKnot(P.a, P.b)), n_range)
     return replace(report, identity="lemmaP")
 
 
-def verify_recurrence(K: TorusKnot, which: str, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
+def verify_recurrence(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> VerifyReport:
     """Check (D J)(n) = rhs(n) exactly for D = ``recurrence_operator(K)``, J = jser:
-    rhs(n) is g(n+1) for a > 2 (three_term), t^{-2bn} [2n+1] for a = 2 (two_term)."""
+    rhs(n) is g(n+1) for a > 2 (recurrence3), t^{-2bn} [2n+1] for a = 2
+    (recurrence2)."""
     a, b = K.a, K.b
-    if which == "three_term":
-        if a == 2:
-            raise WrongCase(f"three-term recurrence needs a > 2, got {K}")
-        name, rhs = "recurrence3", lambda n: g_seq(K, n + 1)
-    elif which == "two_term":
-        if a != 2:
-            raise WrongCase(f"two-term recurrence needs a = 2, got {K}")
+    if a == 2:
         name, rhs = "recurrence2", lambda n: quantum_integer(2 * n + 1).shift(-2 * n * b)
     else:
-        raise ValueError(f"unknown recurrence kind {which!r}")
+        name, rhs = "recurrence3", lambda n: g_seq(K, n + 1)
     D = recurrence_operator(K)
     return sweep(name, a, b, n_range, lambda ns: (v - rhs(n) for n, v in zip(ns, D.apply(jser, ns))))
 

@@ -73,9 +73,9 @@ def test_criterion_1_normalization_anchors():
 def test_criterion_2_recurrences(jcache):
     ok = True
     for K in GENERIC_KNOTS:
-        ok = ok and verify_recurrence(K, "three_term", jcache(K), (1, 20)).passed
+        ok = ok and verify_recurrence(K, jcache(K), (1, 20)).passed
     for K in TWO_KNOTS:
-        ok = ok and verify_recurrence(K, "two_term", jcache(K), (1, 20)).passed
+        ok = ok and verify_recurrence(K, jcache(K), (1, 20)).passed
     report("2 recurrences", ok)
 
 
@@ -98,8 +98,8 @@ def test_criterion_4_lemmas_Q_and_P(jcache):
     window = (-5, 15)
     ok = True
     for K in (K34, TorusKnot(4, 5)):
-        ok = ok and verify_lemma_Q(K, jcache(K), window).passed
-        ok = ok and verify_lemma_P(K, window).passed
+        ok = ok and verify_lemma_Q(build_Q(K.a, K.b), jcache(K), window).passed
+        ok = ok and verify_lemma_P(build_P(K.a, K.b), window).passed
     report("4 lemma Q and lemma P", ok, "n = -5..15")
 
 

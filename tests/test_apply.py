@@ -303,7 +303,7 @@ def test_recurrence_witness_matches_per_color_loop(where, monkeypatch, jcache):
     J = jcache(K)
     expected = per_color_report("recurrence3", K, colors, lambda n: sparse_apply(D, J, n) - operators.g_seq(K, n + 1))
     assert expected.witness_n == witness
-    assert verify_recurrence(K, "three_term", J, n_range) == expected
+    assert verify_recurrence(K, J, n_range) == expected
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -312,12 +312,13 @@ def test_lemma_Q_witness_matches_per_color_loop(where, monkeypatch, jcache):
     colors = range(n_range[0], n_range[1] + 1)
     witness = at_position(colors, where)
     monkeypatch.setattr(operators, "h_seq", off_at(h_seq, witness))
-    cleared = TPoly({2: 1, -2: -1}) * operators.build_Q(K.a, K.b).element
+    Q = operators.build_Q(K.a, K.b)
+    cleared = TPoly({2: 1, -2: -1}) * Q.element
     factor = (operators.lambda_poly(K.a + K.b) - operators.lambda_poly(K.a - K.b)).shift(2 * K.a * K.b - 2)
     J = jcache(K)
     expected = per_color_report("lemmaQ", K, colors, lambda n: sparse_apply(cleared, J, n) - factor * operators.h_seq(K, n))
     assert expected.witness_n == witness
-    assert verify_lemma_Q(K, J, n_range) == expected
+    assert verify_lemma_Q(Q, J, n_range) == expected
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -325,13 +326,13 @@ def test_lemma_P_witness_matches_per_color_loop(where, monkeypatch):
     K, n_range = TorusKnot(3, 4), (-5, 15)
     colors = range(n_range[0], n_range[1] + 1)
     witness = at_position(colors, where)
-    P = operators.build_P(K.a, K.b).element
-    top = max(l for _k, l in P.terms)
+    P = operators.build_P(K.a, K.b)
+    top = max(l for _k, l in P.element.terms)
     monkeypatch.setattr(jones, "h_seq", off_at(h_seq, witness + top))
     h = h_sequence(K)
-    expected = per_color_report("lemmaP", K, colors, lambda n: sparse_apply(P, h, n))
+    expected = per_color_report("lemmaP", K, colors, lambda n: sparse_apply(P.element, h, n))
     assert expected.witness_n == witness
-    assert verify_lemma_P(K, n_range) == expected
+    assert verify_lemma_P(P, n_range) == expected
 
 
 def test_range_needs_about_the_memory_of_its_largest_color():

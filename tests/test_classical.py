@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from torusjones import classical, cli
+from torusjones import cli
 from torusjones.classical import (
     a_polynomial,
     a_prime,
@@ -10,13 +12,12 @@ from torusjones.classical import (
     check_epsilon_factorization,
     check_p_membership_powers,
     divides,
-    epsilon_diffs,
     factorizations,
     sigma_comm,
 )
 from torusjones.jones import SUITE_KNOTS, TorusKnot
 from torusjones.laurent import DivisionByZero, MLPoly, TPoly
-from torusjones.operators import build_F, build_G, build_PQ, build_R, build_named
+from torusjones.operators import OPERATORS, build_F, build_G, build_PQ, build_R, build_named, in_family
 from torusjones.qtorus import QTElem, parse
 
 K23 = TorusKnot(2, 3)
@@ -158,25 +159,33 @@ class TestPowerMembership:
         assert check_p_membership_powers(K23).passed
         assert check_p_membership_powers(TorusKnot(2, 5)).passed
 
-    def test_reads_the_epsilon_reduction_it_is_given(self):
-        # a wrong shared difference must fail the check, so it is the one read
-        for K, name in ((K34, "PQ"), (K23, "R")):
-            diffs = epsilon_diffs(build_named(name, K))
-            assert check_p_membership_powers(K, {name: diffs}).passed
-            report = check_p_membership_powers(K, {name: [MLPoly.L_pow(1)] + diffs[1:]})
-            assert (report.status, report.residual) == ("fail", "L")
+    @pytest.mark.parametrize("K", [K34, K23], ids=["PQ", "R"])
+    def test_reads_the_operator_it_is_given(self, K):
+        # a perturbed PQ or R must fail the check with its own residual
+        op = build_named("R" if K.a == 2 else "PQ", K)
+        assert check_p_membership_powers(K, op).passed
+        bad = replace(op, element=op.element + QTElem.L_pow(1))
+        report = check_p_membership_powers(K, bad)
+        assert (report.status, report.residual) == ("fail", "L")
+
+    def test_verify_all_suite_builds_each_operator_once(self, monkeypatch, capsys):
+        calls = Counter()
+        build = cli.build_named
+        monkeypatch.setattr(cli, "build_named", lambda name, K: calls.update([(name, K)]) or build(name, K))
+        assert cli.main(["verify", "all", "--suite", "--json"]) == 0
+        assert '"identity": "p-membership"' in capsys.readouterr().out
+        # every operator of every knot, once: 22 builds
+        expected = {(name, K) for K in SUITE_KNOTS for name, facts in OPERATORS.items() if in_family(facts.family, K)}
+        assert calls == Counter(expected)
+        assert len(expected) == 22
 
     @pytest.mark.parametrize("ab", [(3, 4), (2, 3)], ids=["PQ", "R"])
-    def test_verify_all_builds_no_second_operator(self, monkeypatch, capsys, ab):
+    def test_p_membership_alone_builds_one_operator(self, monkeypatch, ab):
         calls = []
-        for name in ("build_PQ", "build_R"):
-            builder = getattr(classical, name)
-            monkeypatch.setattr(classical, name, lambda *args, _b=builder: calls.append(args) or _b(*args))
-        assert cli.main(["verify", "all", "-a", str(ab[0]), "-b", str(ab[1]), "--json"]) == 0
-        assert '"identity": "p-membership"' in capsys.readouterr().out
-        assert calls == []
+        build = cli.build_named
+        monkeypatch.setattr(cli, "build_named", lambda name, K: calls.append(name) or build(name, K))
         assert cli.main(["verify", "p-membership", "-a", str(ab[0]), "-b", str(ab[1])]) == 0
-        assert len(calls) == 1
+        assert calls == ["R" if ab[0] == 2 else "PQ"]
 
 
 class TestAPrimeSigma:

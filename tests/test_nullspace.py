@@ -1,6 +1,9 @@
 import math
+import os
 import platform
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -517,12 +520,43 @@ class TestModularRREF:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
     def test_engine_fixes_the_mmap_threshold(self):
-        # the first engine of a process turns glibc's adaptive thresholds
-        # off, which keeps the peak RSS of a run independent of what the
-        # process freed before it
-        ModularRREF(1, PRIMES[0])
-        assert _fix_malloc_thresholds.cache_info().currsize == 1
+        # importing the package turns glibc's adaptive thresholds off, which
+        # keeps the peak RSS of a run independent of what the process ran or
+        # freed before it: an 8 MiB block then comes from the heap, not from
+        # a mapping of its own as at glibc's default 128 KiB threshold
         assert _fix_malloc_thresholds()
+        assert mmapped_blocks_of_8_mib("import torusjones") == 0
+        assert mmapped_blocks_of_8_mib("") == 1
+
+
+#: prints how many mappings malloc makes for one 8 MiB block, after ``{setup}``
+MALLOC_PROBE = """
+import ctypes
+{setup}
+libc = ctypes.CDLL(None)
+size_t = ctypes.c_size_t if hasattr(libc, "mallinfo2") else ctypes.c_int
+fields = ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
+Info = type("Info", (ctypes.Structure,), {{"_fields_": [(name, size_t) for name in fields]}})
+mallinfo = getattr(libc, "mallinfo2", None) or libc.mallinfo
+mallinfo.restype = Info
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+before = mallinfo().hblks
+block = libc.malloc(8 << 20)
+print(mallinfo().hblks - before)
+libc.free(block)
+"""
+
+
+def mmapped_blocks_of_8_mib(setup: str) -> int:
+    """Run ``MALLOC_PROBE`` in a fresh interpreter that finds this package."""
+    src = os.path.dirname(os.path.dirname(nullspace.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", MALLOC_PROBE.format(setup=setup)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    return int(out)
 
 
 def exact_eliminator(rows, ncols):

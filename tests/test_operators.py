@@ -120,21 +120,20 @@ def assert_fails_at_first_color(report):
 
 class TestLemmas:
     def test_lemma_Q_including_negative_colors(self, jcache):
-        assert verify_lemma_Q(K34, jcache(K34), (-5, 15)).passed
-        assert verify_lemma_Q(TorusKnot(4, 5), jcache(TorusKnot(4, 5)), (1, 8)).passed
+        assert verify_lemma_Q(build_Q(3, 4), jcache(K34), (-5, 15)).passed
+        assert verify_lemma_Q(build_Q(4, 5), jcache(TorusKnot(4, 5)), (1, 8)).passed
 
-    def test_perturbed_Q_fails(self, monkeypatch, jcache):
+    def test_perturbed_Q_fails(self, jcache):
         q = build_Q(3, 4)
         bad = NamedOperator("Q", 3, 4, q.element + QTElem.t_pow(2))
-        monkeypatch.setattr(operators, "build_Q", lambda a, b: bad)
-        assert_fails_at_first_color(verify_lemma_Q(K34, jcache(K34), (1, 6)))
+        assert_fails_at_first_color(verify_lemma_Q(bad, jcache(K34), (1, 6)))
 
     def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache):
         monkeypatch.setattr(operators, "h_seq", lambda K, n: h_seq(K, n + 1))
-        assert_fails_at_first_color(verify_lemma_Q(K34, jcache(K34), (1, 6)))
+        assert_fails_at_first_color(verify_lemma_Q(build_Q(3, 4), jcache(K34), (1, 6)))
 
     def test_lemma_P(self):
-        assert verify_lemma_P(K34, (-5, 15)).passed
+        assert verify_lemma_P(build_P(3, 4), (-5, 15)).passed
 
     def test_P_annihilates_h_at_five(self):
         p = build_P(3, 4)
@@ -152,21 +151,13 @@ RECURRENCES = {
 
 class TestRecurrences:
     def test_three_term(self, jcache):
-        assert verify_recurrence(K34, "three_term", jcache(K34), (1, 12)).passed
+        report = verify_recurrence(K34, jcache(K34), (1, 12))
+        assert (report.identity, report.passed) == ("recurrence3", True)
 
     def test_two_term(self, jcache):
         K = TorusKnot(2, 5)
-        assert verify_recurrence(K, "two_term", jcache(K), (1, 12)).passed
-
-    def test_wrong_case(self, jcache):
-        with pytest.raises(WrongCase):
-            verify_recurrence(TorusKnot(2, 5), "three_term", jcache(TorusKnot(2, 5)), (1, 5))
-        with pytest.raises(WrongCase):
-            verify_recurrence(K34, "two_term", jcache(K34), (1, 5))
-
-    def test_unknown_kind(self, jcache):
-        with pytest.raises(ValueError, match="unknown recurrence kind"):
-            verify_recurrence(K34, "four_term", jcache(K34), (1, 5))
+        report = verify_recurrence(K, jcache(K), (1, 12))
+        assert (report.identity, report.passed) == ("recurrence2", True)
 
     @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
     def test_epsilon_of_D_is_the_nonabelian_factor(self, K):
@@ -180,13 +171,13 @@ class TestRecurrences:
         K = RECURRENCES[which][0]
         bad = recurrence_operator(K) + QTElem.t_pow(2)
         monkeypatch.setattr(operators, "recurrence_operator", lambda K: bad)
-        assert_fails_at_first_color(verify_recurrence(K, which, jcache(K), (1, 6)))
+        assert_fails_at_first_color(verify_recurrence(K, jcache(K), (1, 6)))
 
     @pytest.mark.parametrize("which", RECURRENCES)
     def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache, which):
         K, name, shifted = RECURRENCES[which]
         monkeypatch.setattr(operators, name, shifted)
-        assert_fails_at_first_color(verify_recurrence(K, which, jcache(K), (1, 6)))
+        assert_fails_at_first_color(verify_recurrence(K, jcache(K), (1, 6)))
 
 
 class TestSigmaFixedness:
