@@ -55,8 +55,7 @@ def factorizations(op: NamedOperator) -> tuple:
 def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:
     """epsilon(op) must equal every displayed factorized form exactly."""
     image = op.element.epsilon()
-    diffs = [image - parse(text, MLPoly) for text in factorizations(op)]
-    mismatch = next((diff for diff in diffs if not diff.is_zero()), None)
+    mismatch = next((diff for diff in (image - form for form in op.factorized) if not diff.is_zero()), None)
     return check_report(f"epsilon({op.name})", op.a, op.b, mismatch)
 
 
@@ -66,11 +65,12 @@ def check_p_membership_powers(K: TorusKnot, op: NamedOperator | None = None) -> 
     for a = 2, as the first display of PQ or R writes them.
 
     ``op`` is K's PQ or R when the caller has built it; without it the check
-    builds its own.
+    builds its own. The operator keeps its epsilon and parsed displays, so
+    this check and ``check_epsilon_factorization`` share them.
     """
     if op is None:
         op = build_R(K.b) if K.a == 2 else build_PQ(K.a, K.b)
-    diff = op.element.epsilon() - parse(factorizations(op)[0], MLPoly)
+    diff = op.element.epsilon() - op.factorized[0]
     return check_report("p-membership", K.a, K.b, diff)
 
 

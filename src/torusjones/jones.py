@@ -14,18 +14,22 @@ extended to all of Z by J(-n) = -J(n), so J(0) = 0.
 reference.  ``jones_sequence`` fills each value straight into the dense layout
 that ``QTElem.apply`` reads (``colored_jones_dense``): the summand of m is a
 run of |am+1| equal coefficients, sign(am+1), at every fourth exponent, and
-every run lies on one residue class mod 4.  A difference array on that
-stride-4 lattice takes +sign at each run's first point and -sign one past its
-last (one ``np.add.at`` each); its cumulative sum is J(n).  Its nonzero
-entries, taken before that sum, plus the closing mark at the array's end are
-the run marks: about 2n of them against about ab*n^2/2 coefficients.  No
-cancellation reaches either end of the sum's span, so the array needs no
-trim.  A sequence fills J(-n) by negating its own cached J(n).
+every run lies on one residue class mod 4.  On that stride-4 lattice each run
+puts +sign at its first point and -sign one past its last; sorted, and summed
+where two boundaries meet, these are the run marks, closed by a mark at the
+value's length.  About 2n marks stand for about ab*n^2/2 coefficients, and
+the fill never makes the coefficient array: it sorts the 2n boundaries, so a
+value costs O(n log n).  No cancellation reaches either end of the sum's
+span, so the value needs no trim.  A sequence fills J(-n) by negating the
+marks of its own cached J(n).  Two readers expand the marks back into the
+coefficients (``qtorus._expand``): ``DiscreteSeq.__call__`` and the kernel
+search's ``operators._color_matrix``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,13 +127,13 @@ def h_seq(K: TorusKnot, n: int) -> TPoly:
 
 
 #: colors with ab*n^2 at or past this are refused: their exponents would
-#: leave the int64 arithmetic of the dense fill
+#: leave the int64 arithmetic that reads the dense layout
 _EXPONENT_LIMIT = 1 << 62
 
 
 def colored_jones_dense(K: TorusKnot, n: int):
-    """J(n) as ``qtorus._dense(colored_jones(K, n))`` gives it, run marks
-    included, filled by a difference array; None for n = 0."""
+    """J(n) in the layout ``qtorus._dense(colored_jones(K, n))`` gives it,
+    built from the run boundaries alone; None for n = 0."""
     if n == 0:
         return None
     if n < 0:
@@ -137,39 +141,46 @@ def colored_jones_dense(K: TorusKnot, n: int):
     a, b = K.a, K.b
     if a * b * n * n >= _EXPONENT_LIMIT:
         raise BadParams(f"color {n} of {K} has t-exponents past 2^62")
-    m = np.arange(-(n - 1), n, 2, dtype=np.int64)  # m = 2j
-    k = a * m + 1
-    size = np.abs(k)  # [k] is a run from t^{-2(|k|-1)} to t^{2(|k|-1)}
-    first = a * b * m * m + 2 * b * m - 2 * (size - 1)
-    low = int(first.min())
-    start = (first - low) // 4
-    stop = start + size
-    sign = np.sign(k)
-    # Nothing cancels at either end, so the array needs no trim: the lowest
+    # the summand of m = 2j, [am+1] times a power of t, is the run of its
+    # |am+1| coefficients from t^first on: (first, size, sign)
+    runs = []
+    for m in range(-(n - 1), n, 2):
+        k = a * m + 1
+        runs.append((a * b * m * m + 2 * b * m - 2 * (abs(k) - 1), abs(k), 1 if k > 0 else -1))
+    low = min(first for first, _size, _sign in runs)
+    # Nothing cancels at either end, so the value needs no trim: the lowest
     # point lies on one run only (m = 0 or m = -1), and the two top points of
     # the run of m = n - 1 lie above every other run. Those two are adjacent
-    # for n >= 2, so the stride is 4. That last run ends the array, so its
-    # end gets no mark, and the array is allocated at its final length and
-    # summed in place: a second array, or one spare slot, raised the peak
-    # RSS of the kernel search by about 2 MB. The marks are read off the
-    # difference array before the sum, and the closing one is appended.
-    diff = np.zeros(int(stop[-1]), dtype=np.int64)
-    np.add.at(diff, start, sign)
-    np.add.at(diff, stop[:-1], -sign[:-1])
-    pos = np.flatnonzero(diff)
-    marks = np.append(diff[pos], 0)
-    arr = np.cumsum(diff, out=diff)
-    marks[-1] = -arr[-1]
-    pos = np.append(pos, len(arr))
-    return low - a * b * (n * n - 1), 4 if n > 1 else 0, arr, max(int(arr.max()), -int(arr.min())), pos, marks
+    # for n >= 2, so the stride is 4, and that last run ends the value.
+    runs = [((first - low) // 4, (first - low) // 4 + size, sign) for first, size, sign in runs]
+    return low - a * b * (n * n - 1), 4 if n > 1 else 0, *_run_marks(runs)
+
+
+def _run_marks(runs: list) -> tuple:
+    """(length, max |coefficient|, mark positions, mark values) of a sum of
+    runs (start, stop, sign), each sign at the lattice points start ..
+    stop - 1, whose last run ends the value. Each run marks +sign at its
+    start and -sign at its stop; the marks are summed where boundaries meet
+    and dropped where the sum is zero. The last run's stop is the length;
+    the mark there, minus the sum of all the others, closes the value. The
+    merge runs on Python ints, sorting about 2n boundaries, and makes no
+    array of the value's length."""
+    marks: dict = {}
+    for start, stop, sign in runs:
+        marks[start] = marks.get(start, 0) + sign
+        marks[stop] = marks.get(stop, 0) - sign
+    pos = sorted(p for p, v in marks.items() if v)
+    vals = [marks[p] for p in pos]
+    vmax = max(map(abs, itertools.accumulate(vals)))  # the coefficients are the partial sums
+    return pos[-1], vmax, np.array(pos, dtype=np.int64), np.array(vals, dtype=np.int64)
 
 
 def _negated(v):
     """The dense layout of -f from that of f."""
     if v is None:
         return None
-    lo, stride, arr, vmax, pos, marks = v
-    return lo, stride, -arr, vmax, pos, -marks
+    lo, stride, length, vmax, pos, marks = v
+    return lo, stride, length, vmax, pos, -marks
 
 
 def _jones_fill(K: TorusKnot, seq: DiscreteSeq, n: int):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .jones import BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
-from .laurent import TPoly, lambda_poly, quantum_integer
+from .laurent import MLPoly, TPoly, lambda_poly, quantum_integer
 from .nullspace import (
     FLOAT_INPUT_BOUND,
     PRIMES,
@@ -26,7 +26,7 @@ from .nullspace import (
     prime_supply,
     reconstruct_vector,
 )
-from .qtorus import DiscreteSeq, QTElem, acted
+from .qtorus import DiscreteSeq, QTElem, _expand, acted, parse
 
 
 class WrongCase(ValueError):
@@ -65,6 +65,16 @@ class NamedOperator:
 
     def __str__(self) -> str:
         return f"{self.name}({self.a},{self.b})"
+
+    @functools.cached_property
+    def factorized(self) -> tuple:
+        """The factorized forms of epsilon(self) that ``OPERATORS`` displays,
+        as MLPolys, parsed on first use and kept, as the element keeps its
+        epsilon. ValueError for an operator with no display."""
+        displays = OPERATORS[self.name].displays
+        if displays is None:
+            raise ValueError(f"no factorization display for operator {self.name!r}")
+        return tuple(parse(text, MLPoly) for text in displays(self.a, self.b))
 
 
 @dataclass
@@ -466,7 +476,7 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
             blocks.append(None)
             continue
         lo = min(v[0] for v in present)
-        hi = max(v[0] + v[1] * (len(v[2]) - 1) for v in present)
+        hi = max(v[0] + v[1] * (v[2] - 1) for v in present)
         spread = 2 * m_degree * n  # the M-shift t^(2kn) for k = m_degree
         beta_min = slots[0] + lo + min(0, spread)
         width = (slots[-1] + hi + max(0, spread) - beta_min) // 2 + 1
@@ -477,24 +487,22 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
 def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> np.ndarray:
     """The integer constraint block of one color, rows x columns. The unknown
     x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
-    contributes t^(alpha + 2kn) J(n+j); each copy of J(n+j)'s coefficient
-    array is written as one strided slice. float64 when every value's max
-    |coefficient| is below ``FLOAT_INPUT_BOUND``, so that ``process_block``
-    reads it without a cast; else the values' own dtype, Python ints
-    (object) when a value needs them."""
-    present = [v for v in block.values if v is not None]
-    if max(v[3] for v in present) < FLOAT_INPUT_BOUND:
+    contributes t^(alpha + 2kn) J(n+j); J(n+j)'s marks are expanded to its
+    coefficient array once (``_expand``), and each copy of it is written as
+    one strided slice. float64 when every value's max |coefficient| is below
+    ``FLOAT_INPUT_BOUND``, so that ``process_block`` reads it without a
+    cast; else the arrays' own dtype, Python ints (object) when a value
+    needs them."""
+    present = [(j, v, _expand(v)) for j, v in enumerate(block.values) if v is not None]
+    if max(v[3] for _j, v, _arr in present) < FLOAT_INPUT_BOUND:
         dtype = np.float64
     else:
-        dtype = np.result_type(*(v[2] for v in present))
+        dtype = np.result_type(*(arr for _j, _v, arr in present))
     # built transposed so that each copy lands in one row
     BT = np.zeros((len(slots) * mwidth * lwidth, block.width), dtype=dtype)
-    for j, v in enumerate(block.values):
-        if v is None:
-            continue
-        lo, stride, arr = v[:3]
+    for j, (lo, stride, length, *_), arr in present:
         gap = stride // 2 or 1
-        span = gap * (len(arr) - 1) + 1
+        span = gap * (length - 1) + 1
         for k in range(mwidth):
             base = 2 * k * block.n + lo - block.beta_min
             for ai, alpha in enumerate(slots):

@@ -16,15 +16,18 @@ normal-form monomials and the reduction epsilon sets t = -1, landing in the
 commutative ring of (M, L) Laurent polynomials.
 
 A ``DiscreteSeq`` caches each value once in a dense layout: the lowest
-exponent, the stride of the exponent lattice, the coefficient array on that
-lattice, the largest |coefficient| and the run marks. The marks are the
-positions and values of the array's first difference on its own lattice,
-merged and nonzero, with the closing mark at ``len(arr)``: scattered into
-zeros and summed cumulatively they give the array back. A colored Jones
-value is a few runs of equal coefficients, so it has about 2n marks but
-about ab*n^2/2 coefficients. The colored Jones sequence is filled in this
-layout directly; a sequence whose rule gives ``TPoly`` values (h, ``acted``,
-test tables) goes through ``_dense``, the one adapter.
+exponent, the stride of the exponent lattice, the length of the value on
+that lattice (lowest to highest exponent), the largest |coefficient| and the
+run marks. The marks are the positions and values of the first difference
+of the coefficients on that lattice, nonzero only, with the closing mark at
+the length; they are the value, and no coefficient array is kept. A colored
+Jones value is a few runs of equal coefficients, so it has about 2n marks
+but about ab*n^2/2 coefficients. The colored Jones sequence is filled in
+this layout directly; a sequence whose rule gives ``TPoly`` values (h,
+``acted``, test tables) goes through ``_dense``, the one adapter. Two
+readers need the coefficients and expand the marks with ``_expand``:
+``DiscreteSeq.__call__``, which builds the TPoly, and the kernel search's
+``operators._color_matrix``.
 
 ``QTElem.apply`` computes the action on the marks, for one color or a
 range of colors in one call: every monomial of every term, at every color,
@@ -67,7 +70,7 @@ class QTElem(SparseRing):
     scalars (the center's constants).
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_epsilon")
 
     ONE_KEY = (0, 0)
     SCALARS = (int, TPoly)
@@ -134,13 +137,18 @@ class QTElem(SparseRing):
         return self._wrap({(-k, -l): c for (k, l), c in self.terms.items()})
 
     def epsilon(self) -> MLPoly:
-        """Reduce t = -1, landing in the commutative (M, L) Laurent ring."""
-        out = {}
-        for (k, l), c in self.terms.items():
-            v = c.at_minus_one()
-            if v:
-                out[(k, l)] = v
-        return MLPoly(out)
+        """Reduce t = -1, landing in the commutative (M, L) Laurent ring;
+        computed on first use and kept, as elements are immutable."""
+        try:
+            return self._epsilon
+        except AttributeError:
+            out = {}
+            for (k, l), c in self.terms.items():
+                v = c.at_minus_one()
+                if v:
+                    out[(k, l)] = v
+            self._epsilon = MLPoly(out)
+            return self._epsilon
 
     def apply(self, f: "DiscreteSeq", n: "int | range") -> "TPoly | list":
         """Act on a discrete sequence: sum of a_{k,l}(t) t^{2kn} f(n+l).
@@ -168,7 +176,9 @@ class QTElem(SparseRing):
         ``_CHUNK_LIMIT``, and a chunk scatters its contributions at most
         ``_CHUNK_LIMIT`` marks at a time. A chunk always takes at least
         one color, and a scatter at least one contribution, so a range
-        needs about as much scratch memory as its largest color alone.
+        needs about as much scratch memory as its largest color alone. A
+        chunk whose accumulators are all zero after its scatter returns
+        zeros at once: the cumulative sums of zeros are zeros.
         """
         colors = n if isinstance(n, range) else range(n, n + 1)
         values = _act(self._monomials(), f, colors)
@@ -200,7 +210,7 @@ _CHUNK_LIMIT = 1 << 12
 #: above every exponent: the identity of the masked minima in ``_act``
 _BIG = np.iinfo(np.int64).max
 #: the dense layout of a zero value, as ``_act`` reads it
-_ABSENT = (0, 0, np.zeros(1, dtype=np.int64), 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+_ABSENT = (0, 0, 1, 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 class _Monomials(NamedTuple):
@@ -249,7 +259,7 @@ def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
     index = {m: u for u, m in enumerate(reads)}
     vi = np.array([[index[n + l] for l in lvals] for n in colors], dtype=np.intp)
     values = [f.dense(m) or _ABSENT for m in reads]
-    low, stride, span, count, vmax = zip(*((v[0], v[1], v[1] * (len(v[2]) - 1), len(v[4]), v[3]) for v in values))
+    low, stride, span, count, vmax = zip(*((v[0], v[1], v[1] * (v[2] - 1), len(v[4]), v[3]) for v in values))
     low, stride, span, count = (np.array(x, dtype=np.int64) for x in (low, stride, span, count))
     width = int(count.max())
     pos = np.zeros((len(values), width), dtype=np.int64)
@@ -315,6 +325,9 @@ def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
             vals = marks[u[s], :m].astype(dtype, copy=False)
             vals *= coef[s]
             np.add.at(acc, at.ravel(), vals.ravel())
+        if not acc.any():
+            # the cumulative sums of zeros are zeros: every value is zero
+            return [TPoly.zero() for _ in range(a, b)]
         for r, gp, ln in zip(region, gaps, lens):
             grid = acc[r : r + ln].reshape(-1, gp)
             np.cumsum(grid, axis=0, out=grid)
@@ -347,13 +360,13 @@ def _chunks(cells: list):
 
 
 def _dense(v: TPoly):
-    """v as (lowest exponent, stride, coefficient array, max |coefficient|,
-    mark positions, mark values), or None when v is zero. The stride is the
-    gcd of the exponent gaps (0 for a single term); the array holds every
-    lattice point from the lowest to the highest exponent. Coefficients
-    outside int64 give an object array. The marks are the nonzero entries of
-    the array's first difference, closing mark at ``len(arr)`` included; they
-    are Python ints (object) when 2 * max |coefficient| reaches 2^62.
+    """v as (lowest exponent, stride, length, max |coefficient|, mark
+    positions, mark values), or None when v is zero. The stride is the gcd
+    of the exponent gaps (0 for a single term); the length counts every
+    lattice point from the lowest to the highest exponent. The marks are the
+    nonzero entries of the first difference of the coefficients on that
+    lattice, closing mark at the length included; they are Python ints
+    (object) when 2 * max |coefficient| reaches 2^62.
 
     This is the adapter for sequences whose rule gives TPolys."""
     if not v.terms:
@@ -373,25 +386,36 @@ def _dense(v: TPoly):
     wide = arr.astype(object) if 2 * vmax >= _INT64_SAFE else arr
     diff = np.diff(wide, prepend=0, append=0)
     pos = np.flatnonzero(diff)
-    return lo, stride, arr, vmax, pos, diff[pos]
+    return lo, stride, len(arr), vmax, pos, diff[pos]
 
 
-def _sparse(lo: int, stride: int, arr: np.ndarray) -> TPoly:
-    """The TPoly whose coefficient of t^(lo + stride*i) is arr[i]."""
-    nz = np.flatnonzero(arr)
-    return TPoly._wrap(dict(zip((nz * stride + lo).tolist(), arr[nz].tolist())))
+def _expand(v: tuple) -> np.ndarray:
+    """The coefficient array of a value in the dense layout: its marks
+    scattered into zeros of length + 1 and summed cumulatively, last entry
+    dropped. int64 when every coefficient fits, Python ints (object) else."""
+    _lo, _stride, length, _vmax, pos, marks = v
+    acc = np.zeros(length + 1, dtype=marks.dtype)
+    acc[pos] = marks
+    arr = np.cumsum(acc, out=acc)[:-1]
+    if arr.dtype == object:
+        try:
+            return arr.astype(np.int64)
+        except OverflowError:
+            pass
+    return arr
 
 
 class DiscreteSeq:
     """A memoized total function Z -> Z[t^{+-1}] with a printable rule name.
 
     The cache holds each value once, in the dense layout of ``_dense`` (None
-    for zero), run marks included. ``dense(n)`` reads it, as ``QTElem.apply``
-    does; calling the sequence builds the TPoly. ``fn`` gives TPoly values
-    and goes through the ``_dense`` adapter; ``from_dense`` takes a rule
-    ``fill(seq, n)`` that gives the layout itself and may read other values
-    through ``seq.dense``. Evaluation is deterministic, so caching never
-    changes semantics.
+    for zero): its run marks and their length, not its coefficients.
+    ``dense(n)`` reads it, as ``QTElem.apply`` does; calling the sequence
+    expands the marks (``_expand``) and builds the TPoly. ``fn`` gives
+    TPoly values and goes through the ``_dense`` adapter; ``from_dense``
+    takes a rule ``fill(seq, n)`` that gives the layout itself and may read
+    other values through ``seq.dense``. Evaluation is deterministic, so
+    caching never changes semantics.
     """
 
     __slots__ = ("name", "_fill", "_cache")
@@ -408,11 +432,11 @@ class DiscreteSeq:
         return seq
 
     def dense(self, n: int) -> tuple | None:
-        """f(n) as (lowest exponent, stride, coefficient array, max |coefficient|,
-        mark positions, mark values), or None when f(n) is zero. The marks
-        scattered into zeros of length len(array) + 1 and summed
-        cumulatively give the array, then 0; their values are Python ints
-        (object) when 2 * max |coefficient| reaches 2^62."""
+        """f(n) as (lowest exponent, stride, length, max |coefficient|, mark
+        positions, mark values), or None when f(n) is zero. The marks
+        scattered into zeros of length + 1 and summed cumulatively give the
+        coefficients on the stride lattice, then 0; their values are Python
+        ints (object) when 2 * max |coefficient| reaches 2^62."""
         cache = self._cache
         if n in cache:
             return cache[n]
@@ -421,7 +445,11 @@ class DiscreteSeq:
 
     def __call__(self, n: int) -> TPoly:
         v = self.dense(n)
-        return TPoly.zero() if v is None else _sparse(*v[:3])
+        if v is None:
+            return TPoly.zero()
+        arr = _expand(v)
+        nz = np.flatnonzero(arr)
+        return TPoly._wrap(dict(zip((nz * v[1] + v[0]).tolist(), arr[nz].tolist())))
 
     def __repr__(self) -> str:
         return f"DiscreteSeq({self.name!r})"

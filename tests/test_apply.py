@@ -6,6 +6,7 @@ operator once per range, against a per-color loop of that sparse action."""
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from torusjones.operators import (
     verify_lemma_Q,
     verify_recurrence,
 )
-from torusjones.qtorus import DiscreteSeq, QTElem, _dense, parse
+from torusjones.qtorus import DiscreteSeq, QTElem, _dense, _expand, parse
 
 COLORS = range(1, 21)
 
@@ -61,16 +62,25 @@ def test_named_operator_matches_sparse(name, index, jcache):
     assert nonzero >= len(COLORS)
 
 
+def layout(v: TPoly) -> tuple:
+    """``_dense(v)`` with its length checked against its marks, and the
+    coefficient array the marks expand to in place of the length."""
+    dense = _dense(v)
+    arr = _expand(dense)
+    assert dense[2] == len(arr) == dense[4][-1]
+    return *dense[:2], arr, *dense[3:]
+
+
 class TestBoundRule:
     def test_overflowing_values_become_object_arrays(self):
-        lo, stride, arr, vmax, pos, marks = _dense(TPoly({3: 2**63, 7: -1}))
+        lo, stride, arr, vmax, pos, marks = layout(TPoly({3: 2**63, 7: -1}))
         assert (lo, stride, vmax) == (3, 4, 2**63)
         assert arr.dtype == object and arr.tolist() == [2**63, -1]
         assert marks.dtype == object and pos.tolist() == [0, 1, 2]
         assert marks.tolist() == [2**63, -1 - 2**63, 1]
 
     def test_int64_values_keep_int64(self):
-        lo, stride, arr, vmax, pos, marks = _dense(TPoly({-4: -(2**63), 2: 5, 8: 1}))
+        lo, stride, arr, vmax, pos, marks = layout(TPoly({-4: -(2**63), 2: 5, 8: 1}))
         assert (lo, stride, vmax) == (-4, 6, 2**63)
         assert arr.dtype.name == "int64" and arr.tolist() == [-(2**63), 5, 1]
         # the differences leave int64, so the marks are Python ints
@@ -78,7 +88,7 @@ class TestBoundRule:
         assert marks.tolist() == [-(2**63), 5 + 2**63, -4, -1]
 
     def test_int64_extremes_give_object_marks(self):
-        lo, stride, arr, vmax, pos, marks = _dense(TPoly({0: 2**63 - 1, 4: -(2**63)}))
+        lo, stride, arr, vmax, pos, marks = layout(TPoly({0: 2**63 - 1, 4: -(2**63)}))
         assert (lo, stride, vmax) == (0, 4, 2**63)
         assert arr.dtype.name == "int64" and arr.tolist() == [2**63 - 1, -(2**63)]
         assert marks.dtype == object and pos.tolist() == [0, 1, 2]
@@ -89,7 +99,7 @@ class TestBoundRule:
             assert op.apply(f, n) == sparse_apply(op, f, n)
 
     def test_small_values_keep_int64_marks(self):
-        lo, stride, arr, vmax, pos, marks = _dense(TPoly({0: 2**60, 2: 2**60, 6: -3}))
+        lo, stride, arr, vmax, pos, marks = layout(TPoly({0: 2**60, 2: 2**60, 6: -3}))
         assert (lo, stride, vmax) == (0, 2, 2**60)
         assert arr.tolist() == [2**60, 2**60, 0, -3]
         assert marks.dtype.name == "int64" and pos.tolist() == [0, 2, 3, 4]
@@ -352,3 +362,80 @@ def test_range_needs_about_the_memory_of_its_largest_color():
             tracemalloc.stop()
 
     assert peak(range(4, 61)) <= 2 * peak(60)
+
+
+# --- chunks whose accumulator is zero after the scatter ---------------------
+
+
+@pytest.fixture
+def residue_sums(monkeypatch) -> list:
+    """The axes of the per-residue-class cumulative sums that ``_act`` runs
+    (its only ``np.cumsum`` calls with an axis), recorded while the test
+    runs."""
+    calls = []
+    cumsum = np.cumsum
+
+    def counting(x, *args, **kw):
+        if "axis" in kw:
+            calls.append(kw["axis"])
+        return cumsum(x, *args, **kw)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    return calls
+
+
+def test_cancelling_gaps_take_the_full_path(residue_sums):
+    """1 + t^4, 1 + t^6 and 2 + t^4 + t^6 sit at gaps 2, 3 and 1 of the
+    output lattice t^2. Each gap's accumulator is nonzero after the
+    scatter, so the chunk takes the cumulative sums, one per gap, and only
+    their sum cancels to zero."""
+    table = {0: TPoly({0: 1, 4: 1}), 1: TPoly({0: 1, 6: 1}), 2: TPoly({0: 2, 4: 1, 6: 1})}
+    f = DiscreteSeq("cancelling", lambda n: table.get(n, TPoly.zero()))
+    op = parse("1 + L - L^2")
+    assert op.apply(f, range(0, 1)) == [TPoly.zero()]
+    assert len(residue_sums) == 3
+    assert sparse_apply(op, f, 0).is_zero()
+
+
+def test_a_zero_chunk_skips_the_cumulative_sums(monkeypatch, residue_sums, jcache):
+    """PQ annihilates J: with colors 4..20 in one chunk, the accumulator is
+    all zero after the scatter, and the chunk returns zeros at once."""
+    monkeypatch.setattr(qtorus, "_CHUNK_LIMIT", 1 << 30)
+    op = build_named("PQ", TorusKnot(5, 7)).element
+    assert op.apply(jcache(TorusKnot(5, 7)), range(4, 21)) == [TPoly.zero()] * 17
+    assert residue_sums == []
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_one_nonzero_color_in_a_chunk(where, monkeypatch, residue_sums, jcache):
+    """J off at a color that only the first (or the last) of colors 4..20
+    reads, with all of them in one chunk: the chunk takes the full path,
+    that color gets its residual, every other color zero, and the sweep
+    reports it as its witness."""
+    monkeypatch.setattr(qtorus, "_CHUNK_LIMIT", 1 << 30)
+    K, colors = TorusKnot(5, 7), range(4, 21)
+    op = build_named("PQ", K)
+    lvals = [l for _k, l in op.element.terms]
+    witness = at_position(colors, where)
+    f = DiscreteSeq("J off at one color", off_at(jcache(K), witness + (min(lvals) if where == "first" else max(lvals))))
+    values = op.element.apply(f, colors)
+    assert residue_sums
+    assert [n for n, v in zip(colors, values) if not v.is_zero()] == [witness]
+    assert values[witness - colors[0]] == sparse_apply(op.element, f, witness)
+    expected = per_color_report("PQ", K, colors, lambda n: sparse_apply(op.element, f, n))
+    assert expected.witness_n == witness
+    assert verify_annihilation(op, f, (colors[0], colors[-1])) == expected
+
+
+def test_a_fill_needs_no_coefficient_array():
+    """J(60) of (5,7) has 30,810 coefficients, 246 KB as int64; its marks
+    take about 2 KB, and the fill peaks far below the array."""
+    K = TorusKnot(5, 7)
+    jones.colored_jones_dense(K, 60)
+    tracemalloc.start()
+    try:
+        jones.colored_jones_dense(K, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024

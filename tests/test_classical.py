@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from torusjones import cli
+from torusjones import cli, operators
 from torusjones.classical import (
     a_polynomial,
     a_prime,
@@ -178,6 +178,20 @@ class TestPowerMembership:
         expected = {(name, K) for K in SUITE_KNOTS for name, facts in OPERATORS.items() if in_family(facts.family, K)}
         assert calls == Counter(expected)
         assert len(expected) == 22
+
+    @pytest.mark.parametrize("K", [K34, K23], ids=["PQ", "R"])
+    def test_both_checks_reduce_and_parse_once(self, monkeypatch, K):
+        # the epsilon and p-membership checks of one operator share its
+        # t = -1 image and its parsed displays
+        op = build_named("R" if K.a == 2 else "PQ", K)
+        parsed = []
+        parse_text = operators.parse
+        monkeypatch.setattr(operators, "parse", lambda text, ring: parsed.append(text) or parse_text(text, ring))
+        assert check_epsilon_factorization(op).passed
+        image = op.element.epsilon()
+        assert check_p_membership_powers(K, op).passed
+        assert op.element.epsilon() is image
+        assert parsed == list(factorizations(op))
 
     @pytest.mark.parametrize("ab", [(3, 4), (2, 3)], ids=["PQ", "R"])
     def test_p_membership_alone_builds_one_operator(self, monkeypatch, ab):

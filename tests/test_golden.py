@@ -10,7 +10,9 @@ kernel has coefficients up to 26,361, past what one prime lifts (about
 ``verify all --suite --full-z --json``, ``verify all`` on (3,4) over
 n = -5..24 and on (2,9) over n = -6..6, both JSON (these ranges cross 0,
 where J(0) is zero and J(+-1) has one term), and ``verify PQ`` on (5,7)
-over n = 4..60 as text. The ``verify all --suite --json`` digest is the one
+over n = 4..60 as text. ``jones`` on (2,3) over n = -3..6, as text, JSON
+and with ``--check-degree``, and on (5,7) over n = 1..4 as JSON, covers the
+colored Jones printer. The ``verify all --suite --json`` digest is the one
 the benchmark pins in ``perfbench/suite_expected.json``.
 """
 

@@ -10,6 +10,7 @@ from torusjones.jones import (
     BadParams,
     TorusKnot,
     colored_jones,
+    _run_marks,
     colored_jones_dense,
     g_seq,
     h_seq,
@@ -18,7 +19,7 @@ from torusjones.jones import (
 )
 from torusjones.laurent import TPoly, lambda_poly, quantum_integer
 from torusjones.operators import build_PQ, verify_annihilation
-from torusjones.qtorus import _dense
+from torusjones.qtorus import _dense, _expand
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -69,23 +70,34 @@ class TestColoredJones:
                 assert all(e % 2 == 0 for e in colored_jones(K, n).terms)
 
 
+def lattice_array(v: TPoly) -> np.ndarray:
+    """The int64 coefficients of v on its exponent lattice (the gcd of its
+    gaps), from the lowest exponent to the highest."""
+    exps = sorted(v.terms)
+    stride = math.gcd(*(e - exps[0] for e in exps)) or 1
+    arr = np.zeros((exps[-1] - exps[0]) // stride + 1, dtype=np.int64)
+    for e in exps:
+        arr[(e - exps[0]) // stride] = v.terms[e]
+    return arr
+
+
 def assert_same_layout(K, n):
     """The dense fill of J(n) equals the sum's value laid out by ``_dense``,
-    field by field: lowest exponent, stride, array (dtype and entries),
-    max |coefficient| and run marks (positions, dtype and values). The marks
-    scattered into zeros and summed cumulatively give the array, then 0."""
-    got, expected = colored_jones_dense(K, n), _dense(colored_jones(K, n))
+    field by field: lowest exponent, stride, length, max |coefficient| and
+    run marks (positions, dtype and values). The marks expand to the sum's
+    coefficient array, in dtype and in every entry, and the length is that
+    array's."""
+    value = colored_jones(K, n)
+    got, expected = colored_jones_dense(K, n), _dense(value)
     if expected is None:
         assert got is None, (str(K), n)
         return
-    assert got[0] == expected[0] and got[1] == expected[1] and got[3] == expected[3], (str(K), n)
-    assert got[2].dtype == expected[2].dtype and np.array_equal(got[2], expected[2]), (str(K), n)
+    assert got[:4] == expected[:4], (str(K), n)
     assert np.array_equal(got[4], expected[4]), (str(K), n)
     assert got[5].dtype == expected[5].dtype and np.array_equal(got[5], expected[5]), (str(K), n)
-    arr, pos, marks = got[2], got[4], got[5]
-    full = np.zeros(len(arr) + 1, dtype=marks.dtype)
-    full[pos] = marks
-    assert np.array_equal(np.cumsum(full), np.append(arr, 0)), (str(K), n)
+    arr, expanded = lattice_array(value), _expand(got)
+    assert got[2] == len(arr), (str(K), n)
+    assert expanded.dtype == arr.dtype and np.array_equal(expanded, arr), (str(K), n)
 
 
 class TestDenseFill:
@@ -115,7 +127,20 @@ class TestDenseFill:
         cache = seq._cache
         assert sorted(cache) == list(range(-2, 67))  # PQ reaches L^-6 .. L^6
         assert cache.pop(0) is None
-        assert all(isinstance(v, tuple) and isinstance(v[2], np.ndarray) for v in cache.values())
+        # each value keeps its length, not its coefficients: no cached
+        # value holds an array longer than its marks
+        assert all(isinstance(v, tuple) and isinstance(v[2], int) for v in cache.values())
+        assert all(len(x) <= len(v[4]) for v in cache.values() for x in v if isinstance(x, np.ndarray))
+
+    def test_run_boundaries_that_meet(self):
+        """Three boundaries meet at 2 and sum to +1; two meet at 4 and
+        cancel, so 4 has no mark. The runs are 0..1, 2..3, 1, 4 and 3..5,
+        signs +, +, -, +, +: coefficients 1, 0, 1, 2, 2, 1."""
+        length, vmax, pos, marks = _run_marks([(0, 2, 1), (2, 4, 1), (1, 2, -1), (4, 5, 1), (3, 6, 1)])
+        assert (length, vmax) == (6, 2)
+        assert pos.tolist() == [0, 1, 2, 3, 5, 6]
+        assert marks.dtype.name == "int64" and marks.tolist() == [1, -1, 1, 1, -1, -1]
+        assert _expand((0, 4, length, vmax, pos, marks)).tolist() == [1, 0, 1, 2, 2, 1]
 
     def test_colors_past_the_int64_exponents_are_refused(self):
         for n in (2**30, -(2**30)):
