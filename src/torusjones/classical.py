@@ -7,7 +7,6 @@ from __future__ import annotations
 from .jones import TorusKnot
 from .laurent import DivisionByZero, MLPoly, NotDivisible
 from .operators import (
-    OPERATORS,
     NamedOperator,
     VerifyReport,
     a_polynomial_text,
@@ -42,14 +41,6 @@ def divides(d: MLPoly, x: MLPoly):
         return True, x.divide_exact(d)
     except NotDivisible:
         return False, None
-
-
-def factorizations(op: NamedOperator) -> tuple:
-    """The displayed factorized forms of epsilon(op), from ``OPERATORS``."""
-    displays = OPERATORS[op.name].displays
-    if displays is None:
-        raise ValueError(f"no factorization display for operator {op.name!r}")
-    return displays(op.a, op.b)
 
 
 def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:

@@ -184,6 +184,8 @@ def cmd_jones(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite:
+        if args.a is not None or args.b is not None:
+            raise BadParams("give -a and -b, or --suite, not both")
         knots = list(SUITE_KNOTS)
     else:
         if args.a is None or args.b is None:
@@ -227,7 +229,7 @@ def cmd_reduce(args) -> int:
         a = 2
     op = build_named(name, TorusKnot(a, args.b))
     image = op.element.epsilon()
-    printed = classical.factorizations(op)[0]
+    printed = op.displays[0]
     report = classical.check_epsilon_factorization(op)
     if args.json:
         print(

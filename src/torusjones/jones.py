@@ -11,32 +11,25 @@ exponent into ab*m^2 + 2bm and keeps all arithmetic in integers.  The color is
 extended to all of Z by J(-n) = -J(n), so J(0) = 0.
 
 ``colored_jones`` evaluates the sum term by term into a TPoly; it is the
-reference.  ``jones_sequence`` fills each value straight into the dense layout
-that ``QTElem.apply`` reads (``colored_jones_dense``): the summand of m is a
-run of |am+1| equal coefficients, sign(am+1), at every fourth exponent, and
-every run lies on one residue class mod 4.  On that stride-4 lattice each run
-puts +sign at its first point and -sign one past its last; sorted, and summed
-where two boundaries meet, these are the run marks, closed by a mark at the
-value's length.  About 2n marks stand for about ab*n^2/2 coefficients, and
-the fill never makes the coefficient array: it sorts the 2n boundaries, so a
-value costs O(n log n).  No cancellation reaches either end of the sum's
-span, so the value needs no trim.  A sequence fills J(-n) by negating the
-marks of its own cached J(n).  Two readers expand the marks back into the
-coefficients (``qtorus._expand``): ``DiscreteSeq.__call__`` and the kernel
-search's ``operators._color_matrix``.
+reference.  ``jones_sequence`` fills each value straight into the run-mark
+layout of ``qtorus`` that ``QTElem.apply`` reads (``colored_jones_dense``):
+the summand of m is a run of |am+1| equal coefficients, sign(am+1), at
+every fourth exponent, and every run lies on one residue class mod 4.  This
+module computes the n runs on that stride-4 lattice, and
+``qtorus._run_marks`` writes their marks, so a value costs O(n log n) and
+the coefficient array is never made.  No cancellation reaches either end of
+the sum's span, so the value needs no trim.  A sequence fills J(-n) by
+negating the marks of its own cached J(n).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .laurent import TPoly, lambda_poly, quantum_integer
-from .qtorus import DiscreteSeq
+from .qtorus import DiscreteSeq, _negated, _run_marks
 
 
 class BadParams(ValueError):
@@ -127,13 +120,13 @@ def h_seq(K: TorusKnot, n: int) -> TPoly:
 
 
 #: colors with ab*n^2 at or past this are refused: their exponents would
-#: leave the int64 arithmetic that reads the dense layout
+#: leave the int64 arithmetic that reads the run-mark layout
 _EXPONENT_LIMIT = 1 << 62
 
 
 def colored_jones_dense(K: TorusKnot, n: int):
-    """J(n) in the layout ``qtorus._dense(colored_jones(K, n))`` gives it,
-    built from the run boundaries alone; None for n = 0."""
+    """J(n) in the run-mark layout, as ``qtorus._dense(colored_jones(K, n))``
+    gives it, written from the runs of the sum alone; None for n = 0."""
     if n == 0:
         return None
     if n < 0:
@@ -153,34 +146,7 @@ def colored_jones_dense(K: TorusKnot, n: int):
     # the run of m = n - 1 lie above every other run. Those two are adjacent
     # for n >= 2, so the stride is 4, and that last run ends the value.
     runs = [((first - low) // 4, (first - low) // 4 + size, sign) for first, size, sign in runs]
-    return low - a * b * (n * n - 1), 4 if n > 1 else 0, *_run_marks(runs)
-
-
-def _run_marks(runs: list) -> tuple:
-    """(length, max |coefficient|, mark positions, mark values) of a sum of
-    runs (start, stop, sign), each sign at the lattice points start ..
-    stop - 1, whose last run ends the value. Each run marks +sign at its
-    start and -sign at its stop; the marks are summed where boundaries meet
-    and dropped where the sum is zero. The last run's stop is the length;
-    the mark there, minus the sum of all the others, closes the value. The
-    merge runs on Python ints, sorting about 2n boundaries, and makes no
-    array of the value's length."""
-    marks: dict = {}
-    for start, stop, sign in runs:
-        marks[start] = marks.get(start, 0) + sign
-        marks[stop] = marks.get(stop, 0) - sign
-    pos = sorted(p for p, v in marks.items() if v)
-    vals = [marks[p] for p in pos]
-    vmax = max(map(abs, itertools.accumulate(vals)))  # the coefficients are the partial sums
-    return pos[-1], vmax, np.array(pos, dtype=np.int64), np.array(vals, dtype=np.int64)
-
-
-def _negated(v):
-    """The dense layout of -f from that of f."""
-    if v is None:
-        return None
-    lo, stride, length, vmax, pos, marks = v
-    return lo, stride, length, vmax, pos, -marks
+    return _run_marks(low - a * b * (n * n - 1), 4 if n > 1 else 0, runs)
 
 
 def _jones_fill(K: TorusKnot, seq: DiscreteSeq, n: int):

@@ -66,15 +66,20 @@ class NamedOperator:
     def __str__(self) -> str:
         return f"{self.name}({self.a},{self.b})"
 
-    @functools.cached_property
-    def factorized(self) -> tuple:
+    @property
+    def displays(self) -> tuple:
         """The factorized forms of epsilon(self) that ``OPERATORS`` displays,
-        as MLPolys, parsed on first use and kept, as the element keeps its
-        epsilon. ValueError for an operator with no display."""
+        as operator-grammar text. ValueError for an operator with no display."""
         displays = OPERATORS[self.name].displays
         if displays is None:
             raise ValueError(f"no factorization display for operator {self.name!r}")
-        return tuple(parse(text, MLPoly) for text in displays(self.a, self.b))
+        return displays(self.a, self.b)
+
+    @functools.cached_property
+    def factorized(self) -> tuple:
+        """``displays`` as MLPolys, parsed on first use and kept, as the
+        element keeps its epsilon."""
+        return tuple(parse(text, MLPoly) for text in self.displays)
 
 
 @dataclass

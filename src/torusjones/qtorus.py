@@ -15,19 +15,26 @@ extended bilinearly.  The involution sigma negates the (k, l) exponents of
 normal-form monomials and the reduction epsilon sets t = -1, landing in the
 commutative ring of (M, L) Laurent polynomials.
 
-A ``DiscreteSeq`` caches each value once in a dense layout: the lowest
-exponent, the stride of the exponent lattice, the length of the value on
-that lattice (lowest to highest exponent), the largest |coefficient| and the
-run marks. The marks are the positions and values of the first difference
-of the coefficients on that lattice, nonzero only, with the closing mark at
-the length; they are the value, and no coefficient array is kept. A colored
-Jones value is a few runs of equal coefficients, so it has about 2n marks
-but about ab*n^2/2 coefficients. The colored Jones sequence is filled in
-this layout directly; a sequence whose rule gives ``TPoly`` values (h,
-``acted``, test tables) goes through ``_dense``, the one adapter. Two
-readers need the coefficients and expand the marks with ``_expand``:
-``DiscreteSeq.__call__``, which builds the TPoly, and the kernel search's
-``operators._color_matrix``.
+A ``DiscreteSeq`` caches each value once in the run-mark layout, the tuple
+(lowest exponent, stride, length, max |coefficient|, mark positions, mark
+values), or None for zero. The stride is the gcd of the exponent gaps (0
+for a single term), and the length counts the lattice points from the
+lowest exponent to the highest. The marks are the nonzero entries of the
+first difference of the coefficients on that lattice, the closing mark at
+the length included: scattered into zeros of length + 1 and summed
+cumulatively, they give the coefficients, then 0. Positions are int64;
+mark values are int64, or Python ints (object) when 2 * max |coefficient|
+reaches 2^62. The marks are the value, and no coefficient array is kept.
+
+``_run_marks`` is the one writer of the layout. It takes a value as a sum
+of runs of equal coefficients on its lattice, and never makes the
+coefficient array. A colored Jones value is about n runs
+(``jones.colored_jones_dense``), so it has about 2n marks but about
+ab*n^2/2 coefficients; a sequence whose rule gives ``TPoly`` values (h,
+``acted``, test tables) goes through ``_dense``, which makes each term a
+run of one point. Two readers need the coefficients and expand the marks
+with ``_expand``: ``DiscreteSeq.__call__``, which builds the TPoly, and the
+kernel search's ``operators._color_matrix``.
 
 ``QTElem.apply`` computes the action on the marks, for one color or a
 range of colors in one call: every monomial of every term, at every color,
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Callable, Mapping, NamedTuple
 
@@ -209,7 +217,7 @@ _CHUNK_LIMIT = 1 << 12
 
 #: above every exponent: the identity of the masked minima in ``_act``
 _BIG = np.iinfo(np.int64).max
-#: the dense layout of a zero value, as ``_act`` reads it
+#: the run-mark layout of a zero value, as ``_act`` reads it
 _ABSENT = (0, 0, 1, 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
@@ -359,38 +367,48 @@ def _chunks(cells: list):
     yield start, len(cells)
 
 
-def _dense(v: TPoly):
-    """v as (lowest exponent, stride, length, max |coefficient|, mark
-    positions, mark values), or None when v is zero. The stride is the gcd
-    of the exponent gaps (0 for a single term); the length counts every
-    lattice point from the lowest to the highest exponent. The marks are the
-    nonzero entries of the first difference of the coefficients on that
-    lattice, closing mark at the length included; they are Python ints
-    (object) when 2 * max |coefficient| reaches 2^62.
+def _run_marks(lo: int, stride: int, runs) -> tuple:
+    """The sum of ``runs``, each (start, stop, c) putting c at the lattice
+    points start .. stop - 1, in the run-mark layout with lowest exponent
+    ``lo`` and ``stride``: the one writer of the layout. The sum must be
+    nonzero at point 0 and at its last point. Each run marks +c at its
+    start and -c at its stop; the marks are summed where boundaries meet and
+    dropped where the sum is zero, so the last one closes the value at its
+    length. The max |coefficient| is the largest |partial sum| of the marks.
+    The merge runs on Python ints, sorting the boundaries, and makes no
+    array of the value's length."""
+    marks: dict = {}
+    for start, stop, c in runs:
+        marks[start] = marks.get(start, 0) + c
+        marks[stop] = marks.get(stop, 0) - c
+    pos = sorted(p for p, m in marks.items() if m)
+    vals = [marks[p] for p in pos]
+    vmax = max(map(abs, itertools.accumulate(vals)))
+    dtype = object if 2 * vmax >= _INT64_SAFE else np.int64
+    return lo, stride, pos[-1], vmax, np.array(pos, dtype=np.int64), np.array(vals, dtype=dtype)
 
-    This is the adapter for sequences whose rule gives TPolys."""
+
+def _negated(v):
+    """The run-mark layout of -f from that of f."""
+    if v is None:
+        return None
+    lo, stride, length, vmax, pos, marks = v
+    return lo, stride, length, vmax, pos, -marks
+
+
+def _dense(v: TPoly):
+    """v in the run-mark layout, each term a run of one point, or None when
+    v is zero: the adapter for sequences whose rule gives TPolys."""
     if not v.terms:
         return None
-    size = len(v.terms)
-    exps = np.fromiter(v.terms.keys(), dtype=np.int64, count=size)
-    try:
-        vals = np.fromiter(v.terms.values(), dtype=np.int64, count=size)
-    except OverflowError:
-        vals = np.array(list(v.terms.values()), dtype=object)
-    lo = int(exps.min())
-    gaps = exps - lo
-    stride = int(np.gcd.reduce(gaps))
-    arr = np.zeros(int(gaps.max()) // (stride or 1) + 1, dtype=vals.dtype)
-    arr[gaps // (stride or 1)] = vals
-    vmax = max(int(vals.max()), -int(vals.min()))
-    wide = arr.astype(object) if 2 * vmax >= _INT64_SAFE else arr
-    diff = np.diff(wide, prepend=0, append=0)
-    pos = np.flatnonzero(diff)
-    return lo, stride, len(arr), vmax, pos, diff[pos]
+    lo = min(v.terms)
+    stride = math.gcd(*(e - lo for e in v.terms))
+    step = stride or 1
+    return _run_marks(lo, stride, (((e - lo) // step, (e - lo) // step + 1, c) for e, c in v.terms.items()))
 
 
 def _expand(v: tuple) -> np.ndarray:
-    """The coefficient array of a value in the dense layout: its marks
+    """The coefficient array of a value in the run-mark layout: its marks
     scattered into zeros of length + 1 and summed cumulatively, last entry
     dropped. int64 when every coefficient fits, Python ints (object) else."""
     _lo, _stride, length, _vmax, pos, marks = v
@@ -408,14 +426,13 @@ def _expand(v: tuple) -> np.ndarray:
 class DiscreteSeq:
     """A memoized total function Z -> Z[t^{+-1}] with a printable rule name.
 
-    The cache holds each value once, in the dense layout of ``_dense`` (None
-    for zero): its run marks and their length, not its coefficients.
-    ``dense(n)`` reads it, as ``QTElem.apply`` does; calling the sequence
-    expands the marks (``_expand``) and builds the TPoly. ``fn`` gives
-    TPoly values and goes through the ``_dense`` adapter; ``from_dense``
-    takes a rule ``fill(seq, n)`` that gives the layout itself and may read
-    other values through ``seq.dense``. Evaluation is deterministic, so
-    caching never changes semantics.
+    The cache holds each value once, in the run-mark layout (None for
+    zero), not its coefficients. ``dense(n)`` reads it, as ``QTElem.apply``
+    does; calling the sequence expands the marks (``_expand``) and builds
+    the TPoly. ``fn`` gives TPoly values and goes through the ``_dense``
+    adapter; ``from_dense`` takes a rule ``fill(seq, n)`` that gives the
+    layout itself and may read other values through ``seq.dense``.
+    Evaluation is deterministic, so caching never changes semantics.
     """
 
     __slots__ = ("name", "_fill", "_cache")
@@ -432,11 +449,7 @@ class DiscreteSeq:
         return seq
 
     def dense(self, n: int) -> tuple | None:
-        """f(n) as (lowest exponent, stride, length, max |coefficient|, mark
-        positions, mark values), or None when f(n) is zero. The marks
-        scattered into zeros of length + 1 and summed cumulatively give the
-        coefficients on the stride lattice, then 0; their values are Python
-        ints (object) when 2 * max |coefficient| reaches 2^62."""
+        """f(n) in the run-mark layout, or None when f(n) is zero."""
         cache = self._cache
         if n in cache:
             return cache[n]

@@ -227,6 +227,69 @@ def test_dense_apply_matches_sparse(case):
         assert op.apply(f, colors) == [sparse_apply(op, f, m) for m in colors]
 
 
+# --- the TPoly adapter against the array-and-diff layout ---------------------
+
+
+def array_and_diff_layout(v: TPoly):
+    """v in the run-mark layout by way of its coefficient array: the array on
+    v's lattice, its first difference with a closing zero, and marks as
+    Python ints when 2 * max |coefficient| reaches 2^62. The oracle of
+    ``_dense``, which builds no such array."""
+    if not v.terms:
+        return None
+    size = len(v.terms)
+    exps = np.fromiter(v.terms.keys(), dtype=np.int64, count=size)
+    try:
+        vals = np.fromiter(v.terms.values(), dtype=np.int64, count=size)
+    except OverflowError:
+        vals = np.array(list(v.terms.values()), dtype=object)
+    lo = int(exps.min())
+    gaps = exps - lo
+    stride = int(np.gcd.reduce(gaps))
+    arr = np.zeros(int(gaps.max()) // (stride or 1) + 1, dtype=vals.dtype)
+    arr[gaps // (stride or 1)] = vals
+    vmax = max(int(vals.max()), -int(vals.min()))
+    wide = arr.astype(object) if 2 * vmax >= 2**62 else arr
+    diff = np.diff(wide, prepend=0, append=0)
+    pos = np.flatnonzero(diff)
+    return lo, stride, len(arr), vmax, pos, diff[pos]
+
+
+@st.composite
+def tpolys(draw):
+    """Zero, single terms and values on a lattice or of mixed parity, with
+    coefficients near 2^62 and past 2^63."""
+    if not draw(st.integers(0, 9)):
+        return TPoly.zero()
+    return TPoly({e: draw(WIDE) for e in draw(exponent_sets())})
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(v=tpolys())
+def test_dense_matches_the_array_and_diff_layout(v):
+    got, expected = _dense(v), array_and_diff_layout(v)
+    if expected is None:
+        assert got is None
+        return
+    assert got[:4] == expected[:4]
+    for x, y in zip(got[4:], expected[4:], strict=True):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+def test_a_tpoly_value_needs_no_coefficient_array():
+    """h(10^4) of (3,4) has 4 terms on a lattice of 130,001 points, 1 MB as
+    int64; its layout peaks far below that array."""
+    v = h_seq(TorusKnot(3, 4), 10**4)
+    _dense(v)
+    tracemalloc.start()
+    try:
+        _dense(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
 # --- the sweeps: one apply per range, the witness of a per-color loop --------
 
 

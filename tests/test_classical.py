@@ -12,12 +12,11 @@ from torusjones.classical import (
     check_epsilon_factorization,
     check_p_membership_powers,
     divides,
-    factorizations,
     sigma_comm,
 )
 from torusjones.jones import SUITE_KNOTS, TorusKnot
 from torusjones.laurent import DivisionByZero, MLPoly, TPoly
-from torusjones.operators import OPERATORS, build_F, build_G, build_PQ, build_R, build_named, in_family
+from torusjones.operators import OPERATORS, build_F, build_G, build_P, build_PQ, build_R, build_named, in_family
 from torusjones.qtorus import QTElem, parse
 
 K23 = TorusKnot(2, 3)
@@ -102,8 +101,12 @@ class TestEpsilonFactorization:
         # the reduced operator
         for name in ("G", "R") if K.a == 2 else ("F", "PQ"):
             op = build_named(name, K)
-            for text in factorizations(op):
+            for text in op.displays:
                 assert parse(text).epsilon() == op.element.epsilon(), (op, text)
+
+    def test_an_operator_without_a_display_raises(self):
+        with pytest.raises(ValueError, match="no factorization display for operator 'P'"):
+            build_P(3, 4).displays
 
     def test_r_displays_agree(self):
         b = 3
@@ -191,7 +194,7 @@ class TestPowerMembership:
         image = op.element.epsilon()
         assert check_p_membership_powers(K, op).passed
         assert op.element.epsilon() is image
-        assert parsed == list(factorizations(op))
+        assert parsed == list(op.displays)
 
     @pytest.mark.parametrize("ab", [(3, 4), (2, 3)], ids=["PQ", "R"])
     def test_p_membership_alone_builds_one_operator(self, monkeypatch, ab):

@@ -152,6 +152,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("knot", [["-a", "3", "-b", "4"], ["-b", "4"]], ids=["a-and-b", "b-alone"])
+    def test_suite_with_a_knot_is_configuration_error(self, capsys, knot):
+        code, out, err = run(capsys, "verify", "all", "--suite", *knot)
+        assert code == 2
+        assert out == ""
+        assert err == "error: give -a and -b, or --suite, not both\n"
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -185,7 +192,8 @@ class TestExitCodes:
         proc = start_cli("jones", "-a", "5", "-b", "7", "-n", "1..40")
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait(timeout=300) == 141
         assert err == b""
 

@@ -10,7 +10,6 @@ from torusjones.jones import (
     BadParams,
     TorusKnot,
     colored_jones,
-    _run_marks,
     colored_jones_dense,
     g_seq,
     h_seq,
@@ -19,7 +18,7 @@ from torusjones.jones import (
 )
 from torusjones.laurent import TPoly, lambda_poly, quantum_integer
 from torusjones.operators import build_PQ, verify_annihilation
-from torusjones.qtorus import _dense, _expand
+from torusjones.qtorus import _dense, _expand, _run_marks
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -136,11 +135,12 @@ class TestDenseFill:
         """Three boundaries meet at 2 and sum to +1; two meet at 4 and
         cancel, so 4 has no mark. The runs are 0..1, 2..3, 1, 4 and 3..5,
         signs +, +, -, +, +: coefficients 1, 0, 1, 2, 2, 1."""
-        length, vmax, pos, marks = _run_marks([(0, 2, 1), (2, 4, 1), (1, 2, -1), (4, 5, 1), (3, 6, 1)])
-        assert (length, vmax) == (6, 2)
-        assert pos.tolist() == [0, 1, 2, 3, 5, 6]
+        value = _run_marks(-7, 4, [(0, 2, 1), (2, 4, 1), (1, 2, -1), (4, 5, 1), (3, 6, 1)])
+        lo, stride, length, vmax, pos, marks = value
+        assert (lo, stride, length, vmax) == (-7, 4, 6, 2)
+        assert pos.dtype.name == "int64" and pos.tolist() == [0, 1, 2, 3, 5, 6]
         assert marks.dtype.name == "int64" and marks.tolist() == [1, -1, 1, 1, -1, -1]
-        assert _expand((0, 4, length, vmax, pos, marks)).tolist() == [1, 0, 1, 2, 2, 1]
+        assert _expand(value).tolist() == [1, 0, 1, 2, 2, 1]
 
     def test_colors_past_the_int64_exponents_are_refused(self):
         for n in (2**30, -(2**30)):
