@@ -1,11 +1,11 @@
-"""The commutative side after t = -1: A-polynomials, factorization checks,
-divisibility in the (M, L) Laurent ring, and the exponent-negating involution.
+"""The commutative side after t = -1: A-polynomials, factorization checks
+and the exponent-negating involution.
 """
 
 from __future__ import annotations
 
 from .jones import TorusKnot
-from .laurent import DivisionByZero, MLPoly, NotDivisible
+from .laurent import MLPoly
 from .operators import (
     NamedOperator,
     VerifyReport,
@@ -31,16 +31,6 @@ def a_prime(K: TorusKnot) -> MLPoly:
 def sigma_comm(x: MLPoly) -> MLPoly:
     """Negate both exponents termwise; a ring involution."""
     return MLPoly._wrap({(-m, -l): c for (m, l), c in x.terms.items()})
-
-
-def divides(d: MLPoly, x: MLPoly):
-    """Whether d divides x in the Laurent ring; returns (bool, quotient or None)."""
-    if d.is_zero():
-        raise DivisionByZero("divisibility by the zero polynomial")
-    try:
-        return True, x.divide_exact(d)
-    except NotDivisible:
-        return False, None
 
 
 def check_epsilon_factorization(op: NamedOperator) -> VerifyReport:

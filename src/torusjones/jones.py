@@ -29,11 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import TPoly, lambda_poly, quantum_integer
-from .qtorus import DiscreteSeq, _negated, _run_marks
-
-
-class BadParams(ValueError):
-    """Invalid torus-knot or operator parameters."""
+from .qtorus import BadParams, DiscreteSeq, _negated, _run_marks
 
 
 @dataclass(frozen=True)

@@ -22,59 +22,6 @@ class ZeroPolynomial(ValueError):
     """Raised when an operation needs a nonzero polynomial (e.g. lowest_degree)."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Raised when dividing by the zero polynomial."""
-
-
-class NotDivisible(ValueError):
-    """Exact division failed.  ``witness`` holds the first failing step."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-def _divide_univariate(num: dict, den: dict) -> dict:
-    """Exact division of integer Laurent polynomials given as exponent -> coeff dicts.
-
-    Returns the quotient dict with num = quotient * den, or raises NotDivisible.
-    The greedy top-term algorithm is complete here: over a domain, the leading
-    term of an exact quotient is the quotient of leading terms.
-    """
-    if not den:
-        raise DivisionByZero("division by the zero polynomial")
-    if not num:
-        return {}
-    dtop = max(den)
-    dlead = den[dtop]
-    qlow = min(num) - min(den)
-    rem = dict(num)
-    quot: dict = {}
-    while rem:
-        rtop = max(rem)
-        e = rtop - dtop
-        if e < qlow:
-            raise NotDivisible(
-                f"remainder term of degree {rtop} cannot be cleared",
-                witness=(rtop, rem[rtop]),
-            )
-        c, r = divmod(rem[rtop], dlead)
-        if r:
-            raise NotDivisible(
-                f"leading coefficient {rem[rtop]} not divisible by {dlead} at degree {rtop}",
-                witness=(rtop, rem[rtop]),
-            )
-        quot[e] = c
-        for de, dc in den.items():
-            ne = de + e
-            nv = rem.get(ne, 0) - c * dc
-            if nv:
-                rem[ne] = nv
-            else:
-                rem.pop(ne, None)
-    return quot
-
-
 class SparseRing:
     """A ring element stored as a sparse key -> nonzero coefficient map.
 
@@ -268,9 +215,6 @@ class TPoly(SparseRing):
             raise ZeroPolynomial("the zero polynomial has no lowest degree")
         return min(self.terms)
 
-    def divide_exact(self, den: "TPoly") -> "TPoly":
-        return self._wrap(_divide_univariate(self.terms, den.terms))
-
     def at_minus_one(self) -> int:
         """Evaluate at t = -1."""
         return sum(c if e % 2 == 0 else -c for e, c in self.terms.items())
@@ -320,57 +264,6 @@ class MLPoly(SparseRing):
     @staticmethod
     def _term_text(key: tuple, c: int) -> tuple:
         return _scaled(c, _product(_power("M", key[0]), _power("L", key[1])))
-
-    def _by_l(self) -> dict:
-        """Group terms as L-exponent -> {M-exponent: coeff}."""
-        out: dict = {}
-        for (m, l), c in self.terms.items():
-            out.setdefault(l, {})[m] = c
-        return out
-
-    def divide_exact(self, den: "MLPoly") -> "MLPoly":
-        """Exact division in Z[M^{+-1}, L^{+-1}].
-
-        Performed as division of polynomials in L whose coefficients are
-        Laurent polynomials in M; Laurent exponents are handled in place,
-        which is equivalent to clearing monomial units first.
-        """
-        if den.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
-        if self.is_zero():
-            return MLPoly.zero()
-        num_l = self._by_l()
-        den_l = den._by_l()
-        dtop = max(den_l)
-        dlead = den_l[dtop]
-        qlow = min(num_l) - min(den_l)
-        rem = {l: dict(ms) for l, ms in num_l.items()}
-        quot_terms: dict = {}
-        while rem:
-            rtop = max(rem)
-            e = rtop - dtop
-            if e < qlow:
-                raise NotDivisible(
-                    f"remainder in L-degree {rtop} cannot be cleared",
-                    witness=(rtop, dict(rem[rtop])),
-                )
-            qc = _divide_univariate(rem[rtop], dlead)
-            for m, c in qc.items():
-                quot_terms[(m, e)] = c
-            for dl, dms in den_l.items():
-                tgt = rem.setdefault(dl + e, {})
-                for dm, dc in dms.items():
-                    for qm, qcv in qc.items():
-                        mm = dm + qm
-                        nv = tgt.get(mm, 0) - qcv * dc
-                        if nv:
-                            tgt[mm] = nv
-                        else:
-                            tgt.pop(mm, None)
-                if not tgt:
-                    rem.pop(dl + e, None)
-            rem = {l: ms for l, ms in rem.items() if ms}
-        return MLPoly(quot_terms)
 
     def to_json(self) -> list:
         return [[self.terms[k], [k[0], k[1]]] for k in sorted(self.terms)]

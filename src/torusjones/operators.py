@@ -26,7 +26,7 @@ from .nullspace import (
     prime_supply,
     reconstruct_vector,
 )
-from .qtorus import DiscreteSeq, QTElem, _expand, acted, parse
+from .qtorus import DiscreteSeq, QTElem, _expand, parse
 
 
 class WrongCase(ValueError):
@@ -380,7 +380,7 @@ def verify_pq_consistency(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> Ve
     p = build_P(K.a, K.b)
     q = build_Q(K.a, K.b)
     pq = build_PQ(K.a, K.b)
-    qj = acted(q.element, jser, "QJ")
+    qj = DiscreteSeq("QJ", functools.partial(q.element.apply, jser))
     return sweep(
         "pq-consistency", K.a, K.b, n_range,
         lambda ns: (u - v for u, v in zip(pq.element.apply(jser, ns), p.element.apply(qj, ns))),
@@ -455,10 +455,12 @@ class _ColorBlock(NamedTuple):
     """The constraint rows of one color n: row i is the coefficient of
     t^(beta_min + 2i). values[j] is J(n+j) as ``DiscreteSeq.dense`` gives
     it (the cached tuple, shared by every color that reads J(n+j)), or None
-    when J(n+j) is zero."""
+    when J(n+j) is zero; arrays[j] is its coefficient array (``_expand``),
+    shared the same way, or None."""
 
     n: int
     values: list
+    arrays: list
     beta_min: int
     width: int
 
@@ -466,16 +468,19 @@ class _ColorBlock(NamedTuple):
 def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
     """The block geometry of every color in n_range; None for a color whose
     values J(n), ..., J(n + l_degree) are all zero. Each J(m) is read once
-    from the sequence's dense cache."""
+    from the sequence's dense cache and expanded once, so the blocks that
+    read it, and every prime they are fed at, share one array."""
     nlo, nhi = n_range
-    dense = {}
+    dense, arrays = {}, {}
     for m in range(nlo, nhi + l_degree + 1):
         v = dense[m] = jser.dense(m)
         if v is not None and (v[0] % 2 or v[1] % 2):
             raise AssertionError("colored Jones support is not on the even t-exponents")
+        arrays[m] = None if v is None else _expand(v)
     blocks = []
     for n in range(nlo, nhi + 1):
-        values = [dense[n + j] for j in range(l_degree + 1)]
+        reads = range(n, n + l_degree + 1)
+        values = [dense[m] for m in reads]
         present = [v for v in values if v is not None]
         if not present:
             blocks.append(None)
@@ -485,20 +490,19 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
         spread = 2 * m_degree * n  # the M-shift t^(2kn) for k = m_degree
         beta_min = slots[0] + lo + min(0, spread)
         width = (slots[-1] + hi + max(0, spread) - beta_min) // 2 + 1
-        blocks.append(_ColorBlock(n, values, beta_min, width))
+        blocks.append(_ColorBlock(n, values, [arrays[m] for m in reads], beta_min, width))
     return blocks
 
 
 def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> np.ndarray:
     """The integer constraint block of one color, rows x columns. The unknown
     x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
-    contributes t^(alpha + 2kn) J(n+j); J(n+j)'s marks are expanded to its
-    coefficient array once (``_expand``), and each copy of it is written as
-    one strided slice. float64 when every value's max |coefficient| is below
-    ``FLOAT_INPUT_BOUND``, so that ``process_block`` reads it without a
-    cast; else the arrays' own dtype, Python ints (object) when a value
-    needs them."""
-    present = [(j, v, _expand(v)) for j, v in enumerate(block.values) if v is not None]
+    contributes t^(alpha + 2kn) J(n+j); each copy of J(n+j)'s coefficient
+    array (``block.arrays``) is written as one strided slice. float64 when
+    every value's max |coefficient| is below ``FLOAT_INPUT_BOUND``, so that
+    ``process_block`` reads it without a cast; else the arrays' own dtype,
+    Python ints (object) when a value needs them."""
+    present = [(j, v, arr) for j, (v, arr) in enumerate(zip(block.values, block.arrays)) if v is not None]
     if max(v[3] for _j, v, _arr in present) < FLOAT_INPUT_BOUND:
         dtype = np.float64
     else:

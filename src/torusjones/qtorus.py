@@ -31,10 +31,10 @@ of runs of equal coefficients on its lattice, and never makes the
 coefficient array. A colored Jones value is about n runs
 (``jones.colored_jones_dense``), so it has about 2n marks but about
 ab*n^2/2 coefficients; a sequence whose rule gives ``TPoly`` values (h,
-``acted``, test tables) goes through ``_dense``, which makes each term a
-run of one point. Two readers need the coefficients and expand the marks
+Q applied to J, test tables) goes through ``_dense``, which makes each term
+a run of one point. Two readers need the coefficients and expand the marks
 with ``_expand``: ``DiscreteSeq.__call__``, which builds the TPoly, and the
-kernel search's ``operators._color_matrix``.
+kernel search's ``operators._color_blocks``, once per value and query.
 
 ``QTElem.apply`` computes the action on the marks, for one color or a
 range of colors in one call: every monomial of every term, at every color,
@@ -51,7 +51,6 @@ action is exact for any coefficient size. The verification sweeps
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -60,6 +59,11 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .laurent import MLPoly, SparseRing, TPoly, _power, _product, _scaled
+
+
+class BadParams(ValueError):
+    """Invalid torus-knot or operator parameters, or a color too large to
+    act on."""
 
 
 class OperatorSyntaxError(ValueError):
@@ -186,7 +190,9 @@ class QTElem(SparseRing):
         one color, and a scatter at least one contribution, so a range
         needs about as much scratch memory as its largest color alone. A
         chunk whose accumulators are all zero after its scatter returns
-        zeros at once: the cumulative sums of zeros are zeros.
+        zeros at once: the cumulative sums of zeros are zeros. A color
+        whose accumulator cells would be more than ``_COLOR_CELL_LIMIT``
+        raises BadParams before any accumulator or mark table is made.
         """
         colors = n if isinstance(n, range) else range(n, n + 1)
         values = _act(self._monomials(), f, colors)
@@ -214,6 +220,10 @@ _INT64_SAFE = 1 << 62
 #: cells, and scatters at most this many marks at a time, unless a single
 #: color or contribution needs more
 _CHUNK_LIMIT = 1 << 12
+
+#: ``QTElem.apply`` refuses a color whose accumulator cells would be more
+#: than this (512 MiB of int64), before it allocates them
+_COLOR_CELL_LIMIT = 1 << 26
 
 #: above every exponent: the identity of the masked minima in ``_act``
 _BIG = np.iinfo(np.int64).max
@@ -261,21 +271,13 @@ def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
         return [TPoly.zero() for _ in colors]
 
     # every value f(n+l) the colors read, once: color j reads value vi[j, i]
-    # for the i-th distinct l. Each row of pos and marks holds the run
-    # marks of one value, padded with zero marks at position 0.
+    # for the i-th distinct l
     reads = sorted({n + l for n in colors for l in lvals})
     index = {m: u for u, m in enumerate(reads)}
     vi = np.array([[index[n + l] for l in lvals] for n in colors], dtype=np.intp)
     values = [f.dense(m) or _ABSENT for m in reads]
     low, stride, span, count, vmax = zip(*((v[0], v[1], v[1] * (v[2] - 1), len(v[4]), v[3]) for v in values))
     low, stride, span, count = (np.array(x, dtype=np.int64) for x in (low, stride, span, count))
-    width = int(count.max())
-    pos = np.zeros((len(values), width), dtype=np.int64)
-    marks = np.zeros((len(values), width), dtype=object if any(v[5].dtype == object for v in values) else np.int64)
-    for u, v in enumerate(values):
-        pos[u, : len(v[4])] = v[4]
-        marks[u, : len(v[4])] = v[5]
-
     # colors x monomials: is there a value, and where does it land
     pres = count[vi] > 0
     valid = pres[:, li]
@@ -297,6 +299,23 @@ def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
     single = np.where(gap > 0, gap, _BIG).min(axis=1)
     gap = np.where(gap > 0, gap, np.where(single < _BIG, single, 1)[:, None])
     wide = [2 * sum(map(operator.mul, weight, map(vmax.__getitem__, row))) >= _INT64_SAFE for row in vi.tolist()]
+    # at most this many accumulator cells per color: its segment in every gap
+    cells = np.where(live, size + np.where(pres, gap, 0).max(axis=1), 0) * len(set(gap[pres].tolist()))
+    big = int(cells.argmax())
+    if cells[big] > _COLOR_CELL_LIMIT:
+        raise BadParams(
+            f"the action at color {colors[big]} needs {cells[big]:,} accumulator cells, "
+            f"above the limit of {_COLOR_CELL_LIMIT:,}"
+        )
+
+    # each row of pos and marks holds the run marks of one value, padded
+    # with zero marks at position 0
+    width = int(count.max())
+    pos = np.zeros((len(values), width), dtype=np.int64)
+    marks = np.zeros((len(values), width), dtype=object if any(v[5].dtype == object for v in values) else np.int64)
+    for u, v in enumerate(values):
+        pos[u, : len(v[4])] = v[4]
+        marks[u, : len(v[4])] = v[5]
 
     def scatter(a: int, b: int) -> list:
         jj, ii = np.nonzero(valid[a:b])
@@ -350,8 +369,6 @@ def _act(table: _Monomials, f: "DiscreteSeq", colors: range) -> list:
         exps, coefs = exps.tolist(), res[nz].tolist()
         return [TPoly._wrap(dict(zip(exps[c0:c1], coefs[c0:c1]))) for c0, c1 in zip(cut, cut[1:])]
 
-    # at most this many accumulator cells per color: its segment in every gap
-    cells = np.where(live, size + np.where(pres, gap, 0).max(axis=1), 0) * len(set(gap[pres].tolist()))
     return [v for a, b in _chunks(cells.tolist()) for v in scatter(a, b)]
 
 
@@ -466,11 +483,6 @@ class DiscreteSeq:
 
     def __repr__(self) -> str:
         return f"DiscreteSeq({self.name!r})"
-
-
-def acted(op: QTElem, f: DiscreteSeq, name: str | None = None) -> DiscreteSeq:
-    """The sequence n -> (op f)(n)."""
-    return DiscreteSeq(name or f"({f.name} acted)", functools.partial(op.apply, f))
 
 
 # --- operator grammar -------------------------------------------------------

@@ -6,6 +6,7 @@ and 19,500 unknowns and take under a minute each; deselect them with
 ``-m "not kernel"`` for a quick pass over everything else.
 """
 
+import functools
 import random
 
 import pytest
@@ -34,7 +35,7 @@ from torusjones.operators import (
     verify_lemma_Q,
     verify_recurrence,
 )
-from torusjones.qtorus import QTElem, acted
+from torusjones.qtorus import QTElem
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -65,8 +66,7 @@ def test_criterion_1_normalization_anchors():
     )
     hand_value = TPoly({-18: -1, -10: 1, -6: 1, -2: 1})
     ok = ok and colored_jones(K23, 2) == hand_value
-    quotient = colored_jones(K23, 2).divide_exact(quantum_integer(2))
-    ok = ok and quotient == TPoly({-16: -1, -12: 1, -4: 1})
+    ok = ok and colored_jones(K23, 2) == quantum_integer(2) * TPoly({-16: -1, -12: 1, -4: 1})
     report("1 normalization anchors", ok)
 
 
@@ -196,7 +196,7 @@ def test_criterion_9_property_suites():
     for trial in range(25):
         x, y = rand_qtelem(rng, 3), rand_qtelem(rng, 3)
         f = mkseq(trial)
-        yf = acted(y, f)
+        yf = DiscreteSeq("yf", functools.partial(y.apply, f))
         for n in (-2, 0, 3):
             ok = ok and (x * y).apply(f, n) == x.apply(yf, n)
     # bracket and lambda identities

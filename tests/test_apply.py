@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusjones import jones, operators, qtorus
-from torusjones.jones import SUITE_KNOTS, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
+from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
 from torusjones.laurent import TPoly
 from torusjones.operators import (
     NamedOperator,
@@ -488,6 +488,27 @@ def test_one_nonzero_color_in_a_chunk(where, monkeypatch, residue_sums, jcache):
     expected = per_color_report("PQ", K, colors, lambda n: sparse_apply(op.element, f, n))
     assert expected.witness_n == witness
     assert verify_annihilation(op, f, (colors[0], colors[-1])) == expected
+
+
+def test_an_oversized_color_is_refused_before_allocating():
+    """F at colors up to 10^5 of (3,4) needs about 3*10^10 accumulator cells
+    (240 GB of int64) for the last one: apply raises BadParams, naming it,
+    before it makes any accumulator or the mark table of the six values it
+    reads (about 19 MB)."""
+    K = TorusKnot(3, 4)
+    op = build_named("F", K).element
+    J = jones_sequence(K)
+    n = 10**5
+    for m in range(n - 2, n + 4):  # the values F reads, filled first
+        J.dense(m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParams, match=f"at color {n} needs [0-9,]+ accumulator cells"):
+            op.apply(J, range(n - 2, n + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_a_fill_needs_no_coefficient_array():

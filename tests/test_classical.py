@@ -11,11 +11,10 @@ from torusjones.classical import (
     check_a_prime_sigma,
     check_epsilon_factorization,
     check_p_membership_powers,
-    divides,
     sigma_comm,
 )
 from torusjones.jones import SUITE_KNOTS, TorusKnot
-from torusjones.laurent import DivisionByZero, MLPoly, TPoly
+from torusjones.laurent import MLPoly, TPoly
 from torusjones.operators import OPERATORS, build_F, build_G, build_P, build_PQ, build_R, build_named, in_family
 from torusjones.qtorus import QTElem, parse
 
@@ -126,34 +125,35 @@ class TestEpsilonFactorization:
 
 
 class TestDivides:
+    """A_K divides each named image: epsilon(op) is an explicit cofactor
+    times A_K, as the displays in ``OPERATORS`` write it."""
+
     def test_a_divides_epsilon_F_with_cofactor(self):
-        ok, quotient = divides(a_polynomial(K34), build_F(3, 4).element.epsilon())
-        assert ok
-        expected = (
+        cofactor = (
             MLPoly.M_pow(-24)
             * (MLPoly.M_pow(3) - MLPoly.M_pow(-3))
             * (MLPoly.M_pow(4) - MLPoly.M_pow(-4))
         )
-        assert quotient == expected
+        assert build_F(3, 4).element.epsilon() == cofactor * a_polynomial(K34)
 
     def test_a_divides_epsilon_R_square(self):
-        ok, quotient = divides(a_polynomial(K23), build_R(3).element.epsilon())
-        assert ok
-        assert quotient * a_polynomial(K23) == build_R(3).element.epsilon()
-
-    def test_negative_case(self):
-        ok, quotient = divides(L - 1, L + 1)
-        assert not ok and quotient is None
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(DivisionByZero):
-            divides(MLPoly.zero(), L)
+        # epsilon(R) = A'^2 with A' = L^-1 M^-3 A
+        cofactor = MLPoly.monomial(-6, -2) * a_polynomial(K23)
+        assert build_R(3).element.epsilon() == cofactor * a_polynomial(K23)
 
     def test_a_divides_all_named_images(self):
+        A34, A23 = a_polynomial(K34), a_polynomial(K23)
+        M = MLPoly.M_pow
+        cofactors = {
+            "F": M(-24) * (M(3) - M(-3)) * (M(4) - M(-4)),
+            "G": M(-6) * (M(2) - M(-2)),
+            # L^-2 A'^4 with A' = L^-1 M^-12 A
+            "PQ": MLPoly.monomial(-48, -6) * A34 ** 3,
+            "R": MLPoly.monomial(-6, -2) * A23,
+        }
         for op in (build_F(3, 4), build_G(3), build_PQ(3, 4), build_R(3)):
             K = TorusKnot(op.a, op.b)
-            ok, _ = divides(a_polynomial(K), op.element.epsilon())
-            assert ok, op.name
+            assert op.element.epsilon() == cofactors[op.name] * a_polynomial(K), op.name
 
 
 class TestPowerMembership:

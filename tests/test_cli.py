@@ -10,7 +10,7 @@ import pytest
 import torusjones
 from torusjones import cli, jones, operators
 from torusjones.jones import BadParams
-from torusjones.laurent import NotDivisible
+from torusjones.laurent import ZeroPolynomial
 from torusjones.operators import VerifyReport
 
 
@@ -179,14 +179,26 @@ class TestExitCodes:
 
     def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch):
         def broken(identity, K, n_range, *shared):
-            raise NotDivisible("remainder left over")
+            raise ZeroPolynomial("the zero polynomial has no lowest degree")
 
         monkeypatch.setattr(cli, "run_check", broken)
         code, out, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..3")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error:")
-        assert "Traceback" in err and "NotDivisible: remainder left over" in err
+        assert "Traceback" in err and "ZeroPolynomial: the zero polynomial has no lowest degree" in err
+
+    def test_oversized_color_is_configuration_error(self, capsys):
+        code, out, err = run(capsys, "verify", "F", "-a", "3", "-b", "4", "--n=100000..100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the action at color 100000 needs") and "Traceback" not in err
+
+    def test_large_color_on_a_coarse_lattice_passes(self, capsys):
+        # h(n) has four terms however large n is, so lemmaP stays small
+        code, out, _err = run(capsys, "verify", "lemmaP", "-a", "3", "-b", "4", "--n=1000000..1000000")
+        assert code == 0
+        assert out == "lemmaP a=3 b=4 n=1000000..1000000: pass\n"
 
     def test_reader_closing_stdout_exits_141_quietly(self):
         proc = start_cli("jones", "-a", "5", "-b", "7", "-n", "1..40")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusjones import operators
 from torusjones.jones import TorusKnot
 from torusjones.laurent import TPoly
 from torusjones.nullspace import FLOAT_INPUT_BOUND, ExactEliminator
@@ -123,6 +124,23 @@ def test_float_blocks_equal_the_integer_construction(query, jcache):
         assert np.abs(got).max() < FLOAT_INPUT_BOUND
         colors += 1
     assert colors == n_range[1] - n_range[0] + 1
+
+
+def test_each_value_is_expanded_once_per_query(monkeypatch):
+    # in the (2,3) L-degree 2 exact query of the benchmark, each J(m) is
+    # read by up to three color blocks, and by every prime a block is fed
+    # at; each of J(1), ..., J(14) is expanded once
+    expanded = []
+
+    def counting(v):
+        expanded.append(v)  # kept alive, so ids stay distinct
+        return real(v)
+
+    real = operators._expand
+    monkeypatch.setattr(operators, "_expand", counting)
+    result = minimality_kernel(KernelQuery(TorusKnot(2, 3), 2, 10, (-20, 2), (1, 12), method="exact"))
+    assert result.dimension > 0
+    assert len(expanded) == len({id(v) for v in expanded}) == 14
 
 
 def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:

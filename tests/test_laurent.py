@@ -3,9 +3,7 @@ import random
 import pytest
 
 from torusjones.laurent import (
-    DivisionByZero,
     MLPoly,
-    NotDivisible,
     TPoly,
     ZeroPolynomial,
     lambda_poly,
@@ -169,60 +167,6 @@ class TestLambdaPoly:
     def test_specific_case(self):
         k, l = 5, 3
         assert lambda_poly(k + l) + lambda_poly(k - l) == lambda_poly(k) * lambda_poly(l)
-
-
-class TestDivision:
-    def test_tpoly_examples(self):
-        num = TPoly({6: 1, -6: -1})
-        den = TPoly({2: 1, -2: -1})
-        assert num.divide_exact(den) == TPoly({4: 1, 0: 1, -4: 1})
-
-    def test_self_division(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            x = rand_tpoly(rng)
-            if x.is_zero():
-                continue
-            assert x.divide_exact(x) == TPoly.one()
-
-    def test_mlpoly_unit_clearing(self):
-        L = MLPoly.L_pow(1)
-        d = L - 1
-        x = d * (L * L * MLPoly.M_pow(24) - 1)
-        assert x.divide_exact(d) == L * L * MLPoly.M_pow(24) - 1
-
-    def test_product_roundtrip(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            a, b = rand_tpoly(rng), rand_tpoly(rng)
-            if b.is_zero():
-                continue
-            assert (a * b).divide_exact(b) == a
-        for _ in range(40):
-            a, b = rand_mlpoly(rng, nterms=4), rand_mlpoly(rng, nterms=4)
-            if b.is_zero():
-                continue
-            assert (a * b).divide_exact(b) == a
-
-    def test_not_divisible_carries_witness(self):
-        with pytest.raises(NotDivisible) as exc:
-            (TPoly({1: 1, 0: 1})).divide_exact(TPoly({1: 1, 0: -1}))
-        assert exc.value.witness is not None
-
-    def test_not_divisible_content(self):
-        with pytest.raises(NotDivisible):
-            TPoly({0: 1}).divide_exact(TPoly({0: 2}))
-
-    def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            TPoly.one().divide_exact(TPoly.zero())
-        with pytest.raises(DivisionByZero):
-            MLPoly.one().divide_exact(MLPoly.zero())
-
-    def test_mlpoly_not_divisible(self):
-        L = MLPoly.L_pow(1)
-        with pytest.raises(NotDivisible):
-            (L + 1).divide_exact(L - 1)
 
 
 class TestDegrees:

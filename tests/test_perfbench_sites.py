@@ -1,10 +1,15 @@
-"""Every call site the benchmark traces must exist in the package.
+"""Every call site the benchmark traces, and every package name its
+workloads read, must exist in the package.
 
 ``perfbench/tracing.py`` patches names where callers look them up; a
 refactor that drops or renames one only shows as a "not traced" line on the
-benchmark's stderr. This test turns that into a failure.
+benchmark's stderr. A name that ``perfbench/workloads.py`` calls and the
+package no longer has only shows as failed operations. These tests turn
+both into failures.
 """
 
+import ast
+import importlib
 import importlib.util
 import os
 
@@ -28,3 +33,65 @@ def test_every_traced_site_exists():
         if getattr(owner, attr, None) is None
     ]
     assert missing == []
+
+
+#: what ``package_reads`` gives for a name the package does not have
+MISSING = object()
+
+
+def lookup(module_name, attr):
+    """module_name's attribute attr, importing it when it is a submodule."""
+    module = importlib.import_module(module_name)
+    if not hasattr(module, attr) and importlib.util.find_spec(f"{module_name}.{attr}"):
+        importlib.import_module(f"{module_name}.{attr}")
+    return getattr(module, attr, MISSING)
+
+
+def package_reads(path):
+    """(dotted name, object or MISSING) for every package attribute that
+    the file at path reads: each name it imports with ``from torusjones...
+    import``, and each attribute chain it reads on one, found in its AST."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = {}  # a local name -> (dotted name, object or MISSING)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "torusjones":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}", lookup(node.module, alias.name)
+    reads = list(bound.values())
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            if owner is not None and owner[1] is not MISSING:
+                return f"{owner[0]}.{node.attr}", getattr(owner[1], node.attr, MISSING)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            got = resolve(node)
+            if got is not None:
+                reads.append(got)
+    return reads
+
+
+def test_every_package_name_the_workloads_read_exists():
+    # a workload or self-test that calls a deleted name only shows as
+    # failed operations in the benchmark; here it fails tier-1
+    reads = [
+        read
+        for name in ("workloads.py", "selftest.py")
+        for read in package_reads(os.path.join(ROOT, "perfbench", name))
+    ]
+    names = {name for name, _ in reads}
+    assert {
+        "torusjones.cli.main",
+        "torusjones.jones.jones_sequence",
+        "torusjones.operators.build_PQ",
+        "torusjones.operators.matches_up_to_unit",
+        "torusjones.operators.minimality_kernel",
+        "torusjones.operators.verify_annihilation",
+    } <= names
+    assert sorted(name for name, found in reads if found is MISSING) == []
