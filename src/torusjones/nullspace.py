@@ -12,6 +12,13 @@ refuses a wider engine. ``_submul`` fuses X - A @ B with its reduction.
 The pivot rows are stored as [I | X]: only X, their entries on the free
 columns, is kept. X is rank x (ncols - rank), at most ncols^2 / 4 entries,
 and every matmul is as wide as the free columns.
+The engine owns the column order of its input: a block is C-ordered
+float64 with the free columns first, in increasing order, and the pivot
+columns after them in discovery order (``ModularRREF.positions``), so its
+free and its pivot part are two views of it, and the block builder writes
+each color straight into that order. A block is reduced in place, X is
+back-reduced in place and resized by realloc, and every product is formed
+``_SLAB_ROWS`` rows at a time, so a step holds X, one block and slabs.
 Full column rank mod p certifies rational kernel dimension 0 outright.
 Mod-p kernel vectors are only candidates, which callers lift over the
 product of the primes that ``combine`` keeps (``reconstruct_vector``) and
@@ -121,10 +128,13 @@ class ExactEliminator:
 _BASE_ROWS = 8
 #: Elements per slab of ``_mod``, so that its temporaries stay in cache.
 _SLAB = 1 << 15
-#: Columns per slab of ``process_block``'s input split.
-_GATHER = 256
-#: Float input to ``ModularRREF.process_block`` holds integers of magnitude
-#: below this, inside the exact range of ``_mod``.
+#: Rows per slab of the engine's products: no product temporary is as
+#: large as a block, and each matmul is still tall enough to run at GEMM
+#: speed.
+_SLAB_ROWS = 256
+#: Blocks fed to ``ModularRREF.process_block`` hold integers of magnitude
+#: below this, inside the exact range of ``_mod``; the block builder writes
+#: a value with a larger coefficient as residues mod the engine's prime.
 FLOAT_INPUT_BOUND = 1 << 52
 #: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD,
 #: and the values that ``_fix_malloc_thresholds`` gives them: 4 MiB and
@@ -152,12 +162,13 @@ def _fix_malloc_thresholds() -> bool:
     pivot rows of a 3,393-column engine (up to 23 MB) still came from the
     heap, and the benchmark's certify peak read 114 or 132 MB with the
     length of the checkout's path; at 16 MiB they get their own mappings,
-    and it read 105 MB at all six lengths tried.
+    and it read 105 MB at all six lengths tried, and 84 MB since blocks
+    come in the engine's column order and X is updated in place.
 
     Free memory past the trim threshold at the top of the heap goes back to
-    the system, and at glibc's fixed default of 128 KiB the engine's slab
-    temporaries (256 KiB in ``_mod``, a base case's rank-1 product, a gather
-    slab) went back and were faulted in again on nearly every call: 456,000
+    the system, and at glibc's fixed default of 128 KiB the engine's small
+    temporaries (256 KiB in ``_mod``, a base case's rank-1 product) went
+    back and were faulted in again on nearly every call: 456,000
     minor faults in the 8b L-deg 2 query, against 146,000 at 4 MiB, where
     it ran in 6.9 s instead of 8.0 s at the same peak. Without glibc's
     ``mallopt`` this does nothing."""
@@ -203,6 +214,16 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _subtract_product(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X -= A @ B in place, ``_SLAB_ROWS`` rows of the product at a time in
+    one buffer; returns X."""
+    prod = np.empty((min(_SLAB_ROWS, X.shape[0]), X.shape[1]))
+    for s in range(0, X.shape[0], _SLAB_ROWS):
+        x = X[s : s + _SLAB_ROWS]
+        x -= np.matmul(A[s : s + _SLAB_ROWS], B, out=prod[: x.shape[0]])
+    return X
+
+
 def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """X = X - A @ B reduced to signed residues (``_mod``) in place, exactly,
     for X, A and B with entries of magnitude below h = p // 2 + 4 and an
@@ -211,8 +232,7 @@ def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     float64 in any order of summation, and X - A @ B is in the range of
     ``_mod``. Inside ``ModularRREF`` k is at most its column count, which
     its construction checks against ``_lazy_bound``."""
-    X -= A @ B
-    return _mod(X, p)
+    return _mod(_subtract_product(X, A, B), p)
 
 
 def _lazy_bound(ncols: int, p: int) -> int:
@@ -274,7 +294,7 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
     if c1.size:
         C = _mod(B2[:, c1], p)
         if np.any(C):
-            B2 -= C @ R1
+            _subtract_product(B2, C, R1)
     R2, c2 = _rref_dense(B2, p)
     if c2.size and c1.size:
         C = R1[:, c2]
@@ -284,6 +304,46 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
     if k1 < half:
         B[k1 : k1 + k2] = R2
     return B[: k1 + k2], np.concatenate([c1, c2])
+
+
+def _reduce_rows(B: np.ndarray, X: np.ndarray, nfree: int, p: int) -> np.ndarray:
+    """The nonzero rows of B's free-column view B[:, :nfree] after the
+    reduction against the pivot rows [I | X], whose pivot-column view is
+    B[:, nfree:]; they are reduced (``_mod``) and moved to the front of B's
+    buffer as a C-ordered matrix, which is returned. A slab's rows are read
+    before they are written, and the rows written end where the first
+    unread row starts."""
+    _mod(B, p)
+    C = B[:, nfree:]
+    if np.any(C):
+        _submul(B[:, :nfree], C, X, p)
+    nonzero = np.flatnonzero(np.any(B[:, :nfree], axis=1))
+    flat = B.reshape(-1)
+    for s in range(0, nonzero.size, _SLAB_ROWS):
+        rows = B[nonzero[s : s + _SLAB_ROWS], :nfree]
+        flat[s * nfree : (s + rows.shape[0]) * nfree] = rows.ravel()
+    return flat[: nonzero.size * nfree].reshape(nonzero.size, nfree)
+
+
+def _back_reduce(X: np.ndarray, kept: np.ndarray, cols: np.ndarray, Rk: np.ndarray, p: int) -> None:
+    """Write X[:, kept] - X[:, cols] @ Rk, reduced as by ``_submul``, over
+    the front of X's buffer, as a C-ordered matrix of X's rows and len(kept)
+    columns. A slab's rows are read before any of them is written, and the
+    rows written end where the first unread row starts."""
+    flat = X.reshape(-1)
+    width = kept.size
+    part = np.empty((min(_SLAB_ROWS, X.shape[0]), width))
+    prod = np.empty_like(part)
+    for s in range(0, X.shape[0], _SLAB_ROWS):
+        blk = X[s : s + _SLAB_ROWS]
+        n = blk.shape[0]
+        # mode="clip" writes straight to out; the default mode buffers a copy
+        out = np.take(blk, kept, axis=1, out=part[:n], mode="clip")
+        C = blk[:, cols]
+        if np.any(C):
+            out -= np.matmul(C, Rk, out=prod[:n])
+            _mod(out, p)
+        flat[s * width : (s + n) * width] = out.ravel()
 
 
 class ModularRREF:
@@ -297,7 +357,10 @@ class ModularRREF:
     one per column of X. X grows by rows and shrinks by columns as colors
     arrive, and rank * (ncols - rank) <= ncols^2 / 4 bounds it: about
     200 MB at the 10,000-column solved class of a query at
-    ``MAX_KERNEL_UNKNOWNS``.
+    ``MAX_KERNEL_UNKNOWNS``. Blocks come in the column order of
+    ``positions``: the free columns, then the pivot columns in the order of
+    the rows of X. A step holds X, the block being fed and slabs of
+    ``_SLAB_ROWS`` rows, so its memory is known before it starts.
 
     The construction refuses an engine whose lazy reduction bound
     (``_lazy_bound``) could leave the exact range of ``_mod``: about
@@ -314,61 +377,54 @@ class ModularRREF:
         self._free = np.arange(ncols, dtype=np.int64)
         self.rank = 0
 
-    def process_block(self, B: np.ndarray) -> int:
-        """Feed a block of rows of integers, any sign. Returns new pivot count.
+    def positions(self) -> np.ndarray:
+        """Where each column goes in a block fed to ``process_block``:
+        position[c] for column c. The free columns come first, in increasing
+        order, then the pivot columns in discovery order, so that the free
+        and the pivot part of a block are two column views of it."""
+        position = np.empty(self.ncols, dtype=np.int64)
+        position[self._free] = np.arange(self._free.size)
+        position[self._pivcols] = np.arange(self._free.size, self.ncols)
+        return position
 
-        Float input must hold integers below ``FLOAT_INPUT_BOUND`` in
-        magnitude. Integer and object input is reduced mod p before the
-        float64 cast, so entries past 2^53 keep their exact residues."""
-        p = self.p
-        B = np.asarray(B)
-        if B.dtype.kind in "iuO":
-            B = B % p
-        BT = B.astype(np.float64, copy=False).T
+    def process_block(self, B: np.ndarray) -> int:
+        """Feed a block of rows and return the new pivot count. B is
+        C-ordered float64, rows x ncols in the column order of
+        ``positions``, and holds integers of magnitude below
+        ``FLOAT_INPUT_BOUND``; it is reduced in place.
+
+        The free-column view of B is reduced against X with the pivot-column
+        view, a slab of rows at a time, so that no product temporary is as
+        large as the block. What is left of each row lies on the free
+        columns; its nonzero rows are moved to the front of B's buffer and
+        eliminated there. R's kept columns are taken before X grows, so a
+        block that the caller passes as a temporary is freed before then
+        (CPython 3.11 and later move a call's arguments into the callee)."""
+        if B.dtype != np.float64 or B.ndim != 2 or B.shape[1] != self.ncols or not B.flags.c_contiguous:
+            raise ValueError(f"blocks are C-ordered float64 with {self.ncols} columns, not {B.dtype} {B.shape}")
+        p, X, r = self.p, self._X, self.rank
+        nfree = self._free.size
+        Bf = _reduce_rows(B, X, nfree, p)
         del B
-        X, r = self._X, self.rank
-        # split the residues into the free and the pivot columns: gather
-        # rows of B^T, a slab of columns of B at a time, so that the
-        # transposed writes go to C-ordered blocks and no temporary is as
-        # large as the block
-        Bf, C = np.empty((BT.shape[1], self._free.size)), np.empty((BT.shape[1], r))
-        for out, idx in ((Bf, self._free), (C, self._pivcols)):
-            for s in range(0, idx.size, _GATHER):
-                out[:, s : s + _GATHER] = _mod(BT[idx[s : s + _GATHER]], p).T
-        del BT
-        # reduce against the pivot rows: what is left of each row lies on
-        # the free columns
-        if np.any(C):
-            _submul(Bf, C, X, p)
-        del C
-        nonzero = np.any(Bf, axis=1)
-        if not nonzero.all():
-            Bf = Bf[nonzero]
         if not Bf.shape[0]:
             return 0
         R, cols = _rref_dense(Bf, p)  # cols index into the free columns
-        del Bf
         n_new = len(cols)
         if not n_new:
             return 0
         # The new pivot columns leave X. On the kept columns, back-reduce the
-        # old pivot rows (X -= X[:, cols] @ R), chunked to bound temporaries;
-        # on the dropped ones the result is 0, since R[:, cols] = I.
-        keep = np.ones(self._free.size, dtype=bool)
+        # old pivot rows (X -= X[:, cols] @ R) over the front of X's own
+        # buffer; on the dropped ones the result is 0, since R[:, cols] = I.
+        # Then X is resized in place (realloc, no view of it is alive) and
+        # R's kept columns become its last rows.
+        keep = np.ones(nfree, dtype=bool)
         keep[cols] = False
         kept = np.flatnonzero(keep)
-        Xn = np.empty((r + n_new, kept.size))
-        # mode="clip" writes straight to out; the default mode buffers a copy
-        Rk = np.take(R, kept, axis=1, out=Xn[r:], mode="clip")
-        del R
-        for s in range(0, r, 512):
-            e = min(s + 512, r)
-            blk, out = X[s:e], Xn[s:e]
-            np.take(blk, kept, axis=1, out=out, mode="clip")
-            C = blk[:, cols]
-            if np.any(C):
-                _submul(out, C, Rk, p)
-        self._X = Xn
+        Rk = R[:, kept]
+        del R, Bf
+        _back_reduce(X, kept, cols, Rk, p)
+        X.resize((r + n_new, kept.size), refcheck=False)
+        X[r:] = Rk
         self._pivcols = np.concatenate([self._pivcols, self._free[cols]])
         self._free = self._free[keep]
         self.rank = r + n_new

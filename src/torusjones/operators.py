@@ -389,6 +389,10 @@ def verify_pq_consistency(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> Ve
 
 # --- bounded minimality kernel search ---------------------------------------
 
+#: Cells per row slab of ``_color_matrix``'s gather, so that its index
+#: temporary stays in cache.
+_ROW_SLAB_CELLS = 1 << 16
+
 
 def _parity_plan(lo: int, hi: int) -> tuple:
     """(solved, derived): the t-exponent slots of the window lo..hi in the
@@ -455,12 +459,13 @@ class _ColorBlock(NamedTuple):
     """The constraint rows of one color n: row i is the coefficient of
     t^(beta_min + 2i). values[j] is J(n+j) as ``DiscreteSeq.dense`` gives
     it (the cached tuple, shared by every color that reads J(n+j)), or None
-    when J(n+j) is zero; arrays[j] is its coefficient array (``_expand``),
-    shared the same way, or None."""
+    when J(n+j) is zero; expand(n+j) is its coefficient array (``_expand``),
+    made when a block that reads it is first built and shared the same
+    way."""
 
     n: int
     values: list
-    arrays: list
+    expand: Callable
     beta_min: int
     width: int
 
@@ -468,19 +473,20 @@ class _ColorBlock(NamedTuple):
 def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
     """The block geometry of every color in n_range; None for a color whose
     values J(n), ..., J(n + l_degree) are all zero. Each J(m) is read once
-    from the sequence's dense cache and expanded once, so the blocks that
-    read it, and every prime they are fed at, share one array."""
+    from the sequence's dense cache. Its coefficient array is expanded when
+    a block that reads it is first built, once for the query, so the blocks
+    that read it, and every prime they are fed at, share one array; a value
+    that only colors past an early stop read is never expanded."""
     nlo, nhi = n_range
-    dense, arrays = {}, {}
+    dense = {}
     for m in range(nlo, nhi + l_degree + 1):
         v = dense[m] = jser.dense(m)
         if v is not None and (v[0] % 2 or v[1] % 2):
             raise AssertionError("colored Jones support is not on the even t-exponents")
-        arrays[m] = None if v is None else _expand(v)
+    expand = functools.cache(lambda m: _expand(dense[m]))
     blocks = []
     for n in range(nlo, nhi + 1):
-        reads = range(n, n + l_degree + 1)
-        values = [dense[m] for m in reads]
+        values = [dense[m] for m in range(n, n + l_degree + 1)]
         present = [v for v in values if v is not None]
         if not present:
             blocks.append(None)
@@ -490,34 +496,52 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
         spread = 2 * m_degree * n  # the M-shift t^(2kn) for k = m_degree
         beta_min = slots[0] + lo + min(0, spread)
         width = (slots[-1] + hi + max(0, spread) - beta_min) // 2 + 1
-        blocks.append(_ColorBlock(n, values, [arrays[m] for m in reads], beta_min, width))
+        blocks.append(_ColorBlock(n, values, expand, beta_min, width))
     return blocks
 
 
-def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int) -> np.ndarray:
-    """The integer constraint block of one color, rows x columns. The unknown
-    x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth + j,
-    contributes t^(alpha + 2kn) J(n+j); each copy of J(n+j)'s coefficient
-    array (``block.arrays``) is written as one strided slice. float64 when
-    every value's max |coefficient| is below ``FLOAT_INPUT_BOUND``, so that
-    ``process_block`` reads it without a cast; else the arrays' own dtype,
-    Python ints (object) when a value needs them."""
-    present = [(j, v, arr) for j, (v, arr) in enumerate(zip(block.values, block.arrays)) if v is not None]
-    if max(v[3] for _j, v, _arr in present) < FLOAT_INPUT_BOUND:
-        dtype = np.float64
-    else:
-        dtype = np.result_type(*(arr for _j, _v, arr in present))
-    # built transposed so that each copy lands in one row
-    BT = np.zeros((len(slots) * mwidth * lwidth, block.width), dtype=dtype)
-    for j, (lo, stride, length, *_), arr in present:
-        gap = stride // 2 or 1
-        span = gap * (length - 1) + 1
-        for k in range(mwidth):
-            base = 2 * k * block.n + lo - block.beta_min
-            for ai, alpha in enumerate(slots):
-                off = (alpha + base) // 2
-                BT[(ai * mwidth + k) * lwidth + j, off : off + span : gap] = arr
-    return BT.T
+def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, engine: ModularRREF) -> np.ndarray:
+    """The constraint block of one color as ``engine`` takes it: float64,
+    rows x columns in the engine's column order (``positions``). The
+    unknown x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth
+    + j, contributes t^(alpha + 2kn) J(n+j). A value whose max |coefficient|
+    reaches ``FLOAT_INPUT_BOUND`` is written as its residues mod the
+    engine's prime, every other value as its coefficients.
+
+    Every value lies in one strip, its coefficients on every stride-th
+    entry, with ``width`` zeros before and after it; the column of a copy
+    that starts at row `off` reads the strip from its value's start minus
+    off, and a column whose value is zero reads the strip's leading zeros.
+    So each row is one gather from the strip, written in place, and the
+    block is written once, row by row."""
+    pieces = [np.zeros(block.width)]
+    start, lows = np.zeros(lwidth, dtype=np.int64), np.zeros(lwidth, dtype=np.int64)
+    size = block.width
+    for j, v in enumerate(block.values):
+        if v is None:
+            continue
+        arr = block.expand(block.n + j)
+        if v[3] >= FLOAT_INPUT_BOUND:
+            arr = arr % engine.p
+        gap = v[1] // 2 or 1
+        coefficients = np.zeros(gap * (v[2] - 1) + 1)
+        coefficients[::gap] = arr
+        start[j], lows[j] = size, v[0]
+        pieces += [coefficients, np.zeros(block.width)]
+        size += coefficients.size + block.width
+    strip = np.concatenate(pieces)
+    # off = (alpha + 2kn + lo_j - beta_min) / 2 for column (alpha, k, j)
+    alpha = (np.asarray(slots) - block.beta_min)[:, None, None]
+    off = (alpha + 2 * block.n * np.arange(mwidth)[:, None] + lows) // 2
+    base = np.where(start > 0, start - off, 0).ravel()
+    base[engine.positions()] = base.copy()
+    B = np.empty((block.width, base.size))
+    rows = max(1, _ROW_SLAB_CELLS // base.size)
+    for s in range(0, block.width, rows):
+        e = min(s + rows, block.width)
+        # mode="clip" writes straight to out; every index is in the strip
+        np.take(strip, base + np.arange(s, e)[:, None], out=B[s:e], mode="clip")
+    return B
 
 
 def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
@@ -554,9 +578,10 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
         p = next(supply, None)
         if p is None:
             return False
-        engines.append(ModularRREF(ncols, p))
+        engine = ModularRREF(ncols, p)
+        engines.append(engine)
         for block in fed:
-            engines[-1].process_block(_color_matrix(block, slots, mwidth, lwidth))
+            engine.process_block(_color_matrix(block, slots, mwidth, lwidth, engine))
         return True
 
     def kernel(last_n):
@@ -586,8 +611,8 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
         if block is None:
             continue
         before = max(e.rank for e in engines)
-        for e in engines:  # a temporary each: binding it to a name raised peak RSS
-            e.process_block(_color_matrix(block, slots, mwidth, lwidth))
+        for e in engines:  # a temporary each, which process_block can free before X grows
+            e.process_block(_color_matrix(block, slots, mwidth, lwidth, e))
         fed.append(block)
         rank = max(e.rank for e in engines)
         if rank == ncols:

@@ -7,6 +7,7 @@ action it encodes. Both methods are checked on random small queries against
 class read off the solved basis."""
 
 import random
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from torusjones import operators
 from torusjones.jones import TorusKnot
 from torusjones.laurent import TPoly
-from torusjones.nullspace import FLOAT_INPUT_BOUND, ExactEliminator
+from torusjones.nullspace import FLOAT_INPUT_BOUND, PRIMES, ExactEliminator, ModularRREF
 from torusjones.operators import (
     KernelQuery,
     KernelResult,
@@ -29,21 +30,28 @@ from torusjones.operators import (
     _vector_to_qtelem,
     minimality_kernel,
 )
-from torusjones.qtorus import DiscreteSeq, QTElem
+from torusjones.qtorus import DiscreteSeq, QTElem, _expand
 
 M_DEGREE = 3
 N_RANGE = (-3, 2)  # negative colors and the zero color J(0) = 0
 
 
-def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range):
+def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range, p=PRIMES[0]):
     """The column of x * t^alpha M^k L^j at color n holds the coefficients of
-    (t^alpha M^k L^j J)(n) on the rows t^(beta_min + 2i) and nothing else."""
+    (t^alpha M^k L^j J)(n) on the rows t^(beta_min + 2i) and nothing else,
+    at its position in the column order of the engine the block is built
+    for: the coefficients themselves, or their residues mod p when J(n+j)
+    has a coefficient of magnitude ``FLOAT_INPUT_BOUND`` or more. Each block
+    is fed to the engine after the check, so later colors are built in the
+    order its pivots leave."""
     mwidth, lwidth = m_degree + 1, l_degree + 1
+    engine = ModularRREF(len(slots) * mwidth * lwidth, p)
     blocks = _color_blocks(J, slots, m_degree, l_degree, n_range)
     for n, block in zip(range(n_range[0], n_range[1] + 1), blocks):
-        B = None if block is None else _color_matrix(block, slots, mwidth, lwidth)
+        B = None if block is None else _color_matrix(block, slots, mwidth, lwidth, engine)
         if B is not None:
-            assert B.shape == (block.width, len(slots) * mwidth * lwidth)
+            assert B.shape == (block.width, engine.ncols) and B.dtype == np.float64
+            position = engine.positions()
         for ai, alpha in enumerate(slots):
             for k in range(mwidth):
                 for j in range(lwidth):
@@ -51,10 +59,20 @@ def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range):
                     if B is None:
                         assert not expected
                         continue
-                    column = B[:, (ai * mwidth + k) * lwidth + j]
+                    if block.values[j] is not None and block.values[j][3] >= FLOAT_INPUT_BOUND:
+                        expected = {e: c % p for e, c in expected.items() if c % p}
+                    column = B[:, position[(ai * mwidth + k) * lwidth + j]]
                     rows = np.flatnonzero(column).tolist()
                     got = {block.beta_min + 2 * i: int(column[i]) for i in rows}
                     assert got == expected, (n, alpha, k, j)
+        if B is not None:
+            engine.process_block(B)
+
+
+def natural_block(block, slots, mwidth, lwidth):
+    """``_color_matrix`` in the natural column order: the order of an
+    engine that has found no pivot."""
+    return _color_matrix(block, slots, mwidth, lwidth, ModularRREF(len(slots) * mwidth * lwidth, PRIMES[0]))
 
 
 @pytest.mark.parametrize("ab", [(2, 3), (3, 4)], ids=lambda ab: f"{ab[0]},{ab[1]}")
@@ -66,10 +84,11 @@ def test_block_columns_match_apply(ab, l_degree, window, jcache):
         assert_columns_match_apply(jcache(TorusKnot(*ab)), slots, M_DEGREE, l_degree, N_RANGE)
 
 
-def test_block_past_int64_holds_python_ints():
+def test_block_past_int64_holds_residues():
     table = {n: TPoly({2 * n: 2**70 + n, 2 * n + 4: -3}) for n in (-1, 1, 2, 3)}
     J = DiscreteSeq("wide", lambda n: table.get(n, TPoly.zero()))
-    assert_columns_match_apply(J, [-4, -2, 0], 2, 1, (-1, 2))
+    for p in PRIMES[:2]:
+        assert_columns_match_apply(J, [-4, -2, 0], 2, 1, (-1, 2), p)
 
 
 @pytest.mark.parametrize(
@@ -82,15 +101,25 @@ def test_block_past_int64_holds_python_ints():
     ],
 )
 def test_block_dtype_follows_the_largest_coefficient(big, dtype):
-    # float64 only while every value's max |coefficient| is below
-    # FLOAT_INPUT_BOUND; from there on the exact integer construction, which
-    # holds 2^53 + 1 (not a float64) exactly
+    # every block is float64. While every value's max |coefficient| is
+    # below FLOAT_INPUT_BOUND it holds the coefficients themselves (dtype
+    # float64 here); from there on the residues mod the engine's prime of
+    # the value's exact coefficient array, of dtype int64 (which holds
+    # 2^53 + 1, not a float64, exactly) or object (Python ints past 2^63)
     table = {n: TPoly({2 * n: big, 2 * n + 4: -3 - n}) for n in (1, 2, 3)}
     J = DiscreteSeq("big", lambda n: table.get(n, TPoly.zero()))
     slots, mwidth, lwidth = [-4, -2, 0], 3, 2
-    for block in _color_blocks(J, slots, mwidth - 1, lwidth - 1, (1, 2)):
-        assert _color_matrix(block, slots, mwidth, lwidth).dtype == dtype
-    assert_columns_match_apply(J, slots, mwidth - 1, lwidth - 1, (1, 2))
+    for p in PRIMES[:2]:
+        engine = ModularRREF(len(slots) * mwidth * lwidth, p)
+        for block in _color_blocks(J, slots, mwidth - 1, lwidth - 1, (1, 2)):
+            B = _color_matrix(block, slots, mwidth, lwidth, engine)
+            assert B.dtype == np.float64
+            if dtype is np.float64:
+                assert float(big) in B
+            else:
+                assert _expand(block.values[0]).dtype == dtype
+                assert big % p in B and np.abs(B).max() < p
+        assert_columns_match_apply(J, slots, mwidth - 1, lwidth - 1, (1, 2), p)
 
 
 #: The solved class of each certify query of the benchmark: (knot, l_degree,
@@ -105,55 +134,102 @@ CERTIFY_QUERIES = [
 
 @pytest.mark.parametrize("query", CERTIFY_QUERIES, ids=lambda q: "{},{} L{}".format(*q[0], q[1]))
 def test_float_blocks_equal_the_integer_construction(query, jcache):
-    # every color of the certify queries: the float64 block equals, entry
-    # for entry, the int64 block that the same values give when their max
-    # |coefficient| is read as FLOAT_INPUT_BOUND
+    # every color of the certify queries: the block of coefficients equals,
+    # mod p, the block of residues that the builder reduces from the exact
+    # coefficient arrays when the values' max |coefficient| is read as
+    # FLOAT_INPUT_BOUND
     ab, l_degree, m_degree, window, n_range = query
     J = jcache(TorusKnot(*ab))
     slots, _derived = _parity_plan(*window)
     mwidth, lwidth = m_degree + 1, l_degree + 1
+    engine = ModularRREF(len(slots) * mwidth * lwidth, PRIMES[0])
     colors = 0
     for block in _color_blocks(J, slots, m_degree, l_degree, n_range):
         if block is None:
             continue
-        got = _color_matrix(block, slots, mwidth, lwidth)
+        got = _color_matrix(block, slots, mwidth, lwidth, engine)
         values = [None if v is None else (*v[:3], FLOAT_INPUT_BOUND, *v[4:]) for v in block.values]
-        ref = _color_matrix(block._replace(values=values), slots, mwidth, lwidth)
-        assert got.dtype == np.float64 and ref.dtype == np.int64
-        assert np.array_equal(got.astype(np.int64), ref)
+        ref = _color_matrix(block._replace(values=values), slots, mwidth, lwidth, engine)
+        assert got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got.astype(np.int64) % engine.p, ref.astype(np.int64))
         assert np.abs(got).max() < FLOAT_INPUT_BOUND
         colors += 1
     assert colors == n_range[1] - n_range[0] + 1
 
 
 def test_each_value_is_expanded_once_per_query(monkeypatch):
-    # in the (2,3) L-degree 2 exact query of the benchmark, each J(m) is
-    # read by up to three color blocks, and by every prime a block is fed
-    # at; each of J(1), ..., J(14) is expanded once
-    expanded = []
+    # the (2,3) L-degree 2 exact query of the benchmark stops early, after
+    # feeding colors 1..6 of 1..12: each J(m) that a fed color reads is
+    # expanded once, however many colors read it and at however many primes
+    # they are fed, and no value that only later colors read is expanded
+    expanded, fed = [], []
 
     def counting(v):
         expanded.append(v)  # kept alive, so ids stay distinct
-        return real(v)
+        return real_expand(v)
 
-    real = operators._expand
+    def recording(block, *args):
+        fed.append(block)
+        return real_matrix(block, *args)
+
+    real_expand, real_matrix = operators._expand, operators._color_matrix
     monkeypatch.setattr(operators, "_expand", counting)
+    monkeypatch.setattr(operators, "_color_matrix", recording)
     result = minimality_kernel(KernelQuery(TorusKnot(2, 3), 2, 10, (-20, 2), (1, 12), method="exact"))
     assert result.dimension > 0
-    assert len(expanded) == len({id(v) for v in expanded}) == 14
+    read = {id(v): v for block in fed for v in block.values if v is not None}
+    assert len(expanded) == len({id(v) for v in expanded}) == len(read)
+    assert {id(v) for v in expanded} == set(read)
+    assert len(read) < 14  # of J(1), ..., J(14)
+
+
+#: What the memory guard allows beyond one X and one block: one of the
+#: engine's slab buffers (``_SLAB_ROWS`` rows of the (2,7) query's 1,368
+#: columns, 2.7 MiB) and small arrays. A block-sized copy (8.6 MiB at the
+#: query's last color) does not fit in it.
+SLAB_ALLOWANCE = 3 << 20
+
+
+def test_peak_memory_is_one_x_one_block_and_slabs(monkeypatch):
+    # the (2,7) L-degree 2 query of the benchmark; its largest stored
+    # pivot rows X and its largest block are read off a first run, and a
+    # second run under tracemalloc may peak at no more than their sum plus
+    # the slab allowance (it peaks at 10.1 MiB of 15.2 allowed; 19.2 MiB
+    # when the engine gathered copies of each block)
+    query = KernelQuery(TorusKnot(2, 7), 2, 18, (-44, 2), (1, 19))
+    xs, blocks = [], []
+    real = ModularRREF.process_block
+
+    def recording(engine, B):
+        blocks.append(B.nbytes)
+        new = real(engine, B)
+        xs.append(engine._X.nbytes)
+        return new
+
+    monkeypatch.setattr(ModularRREF, "process_block", recording)
+    minimality_kernel(query)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        minimality_kernel(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(xs) + max(blocks) + SLAB_ALLOWANCE
 
 
 def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:
     """The standard kernel basis of one parity class on the whole n_range, as
     operator strings: ``ExactEliminator`` fed every row of every color's
-    ``_color_matrix``, as Python ints (the block may be float64)."""
+    block in the natural column order, as Python ints (the block is
+    float64)."""
     if not slots:
         return []
     mwidth, lwidth = m_degree + 1, l_degree + 1
     elim = ExactEliminator(len(slots) * mwidth * lwidth)
     for block in _color_blocks(J, slots, m_degree, l_degree, n_range):
         if block is not None and elim.rank < elim.ncols:
-            for row in _color_matrix(block, slots, mwidth, lwidth):
+            for row in natural_block(block, slots, mwidth, lwidth):
                 nz = np.flatnonzero(row)
                 elim.add_row(dict(zip(nz.tolist(), map(int, row[nz].tolist()))))
     return [str(_vector_to_qtelem(v, slots, m_degree, l_degree)) for v in elim.nullspace()]

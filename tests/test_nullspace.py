@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusjones import nullspace
-from torusjones.operators import MAX_KERNEL_UNKNOWNS
+from torusjones.laurent import TPoly
+from torusjones.operators import MAX_KERNEL_UNKNOWNS, _color_blocks, _color_matrix
+from torusjones.qtorus import DiscreteSeq, QTElem, _expand
 from torusjones.nullspace import (
     _BASE_ROWS,
     _SLAB,
@@ -146,6 +148,16 @@ def dense(rows, ncols):
         for c, v in r.items():
             B[i, c] = v
     return B
+
+
+def feed(mr, A):
+    """Feed the integer rows A, in the natural column order, to ``mr`` as it
+    takes them: a float64 block in the column order of its ``positions``.
+    Returns the new pivot count."""
+    A = np.asarray(A)
+    B = np.empty(A.shape)
+    B[:, mr.positions()] = A
+    return mr.process_block(B)
 
 
 def rref_mod_p(A, p):
@@ -323,11 +335,7 @@ class TestModularRREF:
             ref_rank, ref_basis = dense_nullspace_fractions(rows, ncols)
 
             mr = ModularRREF(ncols, p)
-            B = np.zeros((len(rows), ncols))
-            for i, r in enumerate(rows):
-                for c, v in r.items():
-                    B[i, c] = v
-            mr.process_block(B)
+            feed(mr, dense(rows, ncols))
             assert mr.rank == ref_rank
             pivots = mr._pivcols[: mr.rank].tolist()
             assert_standard_basis(mr.nullspace_mod_p(), pivots, ncols)
@@ -351,12 +359,7 @@ class TestModularRREF:
         ref_rank, _ = dense_nullspace_fractions(rows, ncols)
         mr = ModularRREF(ncols, p)
         for start in range(0, 30, 7):
-            chunk = rows[start : start + 7]
-            B = np.zeros((len(chunk), ncols))
-            for i, r in enumerate(chunk):
-                for c, v in r.items():
-                    B[i, c] = v
-            mr.process_block(B)
+            feed(mr, dense(rows[start : start + 7], ncols))
         assert mr.rank == ref_rank
 
     def test_large_block_recursion(self):
@@ -374,7 +377,7 @@ class TestModularRREF:
         start = 0
         for size in sizes:
             stop = start + size
-            mr.process_block(B[start:stop])
+            feed(mr, B[start:stop])
             piv, _ = rref_mod_p(B[:stop], p)
             assert mr.rank == len(piv)
             assert set(mr._pivcols.tolist()) == set(piv)
@@ -388,16 +391,18 @@ class TestModularRREF:
 
     def test_block_feeding_matches_dense_reference(self):
         # random rank-deficient and full-rank systems fed in random splits,
-        # with all-zero blocks, blocks that add no rank, blocks after full
-        # rank, one block per trial of _BASE_ROWS - 1, _BASE_ROWS,
-        # _BASE_ROWS + 1 or 2 _BASE_ROWS + 1 rows, and blocks over
-        # _BASE_ROWS rows, which take the _rref_dense recursion; the stored
-        # pivot rows stay rank x (ncols - rank), and the standard basis,
-        # unique mod p, must equal the dense reference's after every block
+        # each block in the engine's column order at the time, with all-zero
+        # blocks, blocks that mix zero rows and dependent rows into new ones,
+        # blocks that add no rank, blocks after full rank, one block per
+        # trial of _BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1 or
+        # 2 _BASE_ROWS + 1 rows, and blocks over _BASE_ROWS rows, which take
+        # the _rref_dense recursion; the stored pivot rows stay rank x
+        # (ncols - rank), and the standard basis, unique mod p, must equal
+        # the dense reference's after every block
         rng = random.Random(12)
         p = PRIMES[2]
         sizes = (_BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 2 * _BASE_ROWS + 1)
-        seen = dict(zero=0, no_rank=0, after_full=0, one_col=0, tall=0)
+        seen = dict(zero=0, zero_rows=0, no_rank=0, after_full=0, one_col=0, tall=0)
         seen.update({f"rows={n}": 0 for n in sizes})
         for trial in range(60):
             ncols = 1 if trial % 10 == 0 else rng.randint(2, 40)
@@ -422,13 +427,15 @@ class TestModularRREF:
             zeros = np.zeros((rng.randint(1, 5), ncols), dtype=np.int64)
             blocks.insert(rng.randint(0, len(blocks)), zeros)
             blocks.insert(rng.randint(1, len(blocks)), A[rng.sample(range(nrows), min(nrows, 3))])
+            mixed = np.vstack([combinations(rng.randint(1, 12)), zeros, A[:3]])
+            blocks.insert(rng.randint(0, len(blocks)), mixed[rng.sample(range(len(mixed)), len(mixed))])
             blocks.append(A[:2])
             mr = ModularRREF(ncols, p)
             fed = np.zeros((0, ncols), dtype=np.int64)
             for blk in blocks:
                 was_full = mr.rank == ncols
                 before = mr.rank
-                new = mr.process_block(blk)
+                new = feed(mr, blk)
                 fed = np.vstack([fed, blk])
                 piv, R = rref_mod_p(fed, p)
                 assert new == mr.rank - before
@@ -437,6 +444,7 @@ class TestModularRREF:
                 assert set(mr._pivcols.tolist()) == set(piv)
                 assert mr.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
                 seen["zero"] += not blk.any()
+                seen["zero_rows"] += blk.any() and not blk.any(axis=1).all()
                 seen["no_rank"] += blk.any() and not new
                 seen["after_full"] += was_full
                 seen["tall"] += len(blk) > _BASE_ROWS
@@ -474,7 +482,7 @@ class TestModularRREF:
 
         monkeypatch.setattr(nullspace, "_mod", recording_mod)
         mr = ModularRREF(ncols, p)
-        mr.process_block(B)
+        feed(mr, B)
         assert 0.8 * _lazy_bound(ncols, p) < max(seen) <= _lazy_bound(ncols, p)
         piv, R = rref_mod_p(B, p)
         assert mr.rank == len(piv)
@@ -495,7 +503,8 @@ class TestModularRREF:
 
     def test_float_input_matches_integer_input(self):
         # float64 blocks with entries up to FLOAT_INPUT_BOUND, which the
-        # input split reduces, give the same engine as the int64 blocks
+        # engine reduces slab by slab, give the same engine as the blocks of
+        # their integer residues mod p
         rng = np.random.default_rng(13)
         p, ncols = PRIMES[0], 60
         bound = nullspace.FLOAT_INPUT_BOUND
@@ -503,7 +512,7 @@ class TestModularRREF:
         blocks = [base[:25], base[25:], base[rng.integers(0, 40, 9)]]
         ints, floats = ModularRREF(ncols, p), ModularRREF(ncols, p)
         for blk in blocks:
-            assert ints.process_block(blk) == floats.process_block(blk.astype(np.float64))
+            assert feed(ints, blk % p) == feed(floats, blk)
             assert ints._pivcols.tolist() == floats._pivcols.tolist()
             assert ints.nullspace_mod_p() == floats.nullspace_mod_p()
         piv, R = rref_mod_p(np.vstack(blocks), p)
@@ -511,12 +520,41 @@ class TestModularRREF:
 
     @pytest.mark.parametrize("dtype", [object, np.int64])
     def test_integer_input_is_reduced_before_the_float_cast(self, dtype):
-        # v = 1 mod p, but float64(v) rounds away the 1 and reads as 0 mod p
+        # v = 1 mod p, but float64(v) rounds away the 1 and reads as 0 mod p;
+        # the block builder writes v's residue, read from its exact
+        # coefficient array (int64 up to 2^63, Python ints past it)
         p = PRIMES[0]
-        v = p * 2**35 + 1
+        v = p * 2 ** (35 if dtype is np.int64 else 70) + 1
         assert float(v) % p == 0
+        J = DiscreteSeq("v", lambda n: TPoly({0: v}) if n == 1 else TPoly.zero())
+        (block,) = _color_blocks(J, [0], 0, 0, (1, 1))
+        assert _expand(block.values[0]).dtype == dtype
         mr = ModularRREF(1, p)
-        assert mr.process_block(np.array([[v]], dtype=dtype)) == 1
+        B = _color_matrix(block, [0], 1, 1, mr)
+        assert B.dtype == np.float64 and B.tolist() == [[1.0]]
+        assert mr.process_block(B) == 1
+
+    def test_positions_put_the_free_columns_first(self):
+        # free columns in increasing order, then the pivot columns in the
+        # order they were found; a fresh engine takes the natural order
+        mr = ModularRREF(6, PRIMES[0])
+        assert mr.positions().tolist() == list(range(6))
+        feed(mr, [[0, 0, 0, 0, 1, 2], [0, 1, 0, 0, 0, 0]])
+        assert mr._pivcols.tolist() == [4, 1]
+        assert mr.positions().tolist() == [0, 5, 1, 2, 4, 3]
+        feed(mr, [[1, 0, 0, 0, 0, 0]])
+        assert mr.positions().tolist() == [5, 4, 0, 1, 3, 2]
+
+    @pytest.mark.parametrize(
+        "block",
+        [np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=object), np.zeros((2, 4)), np.zeros((2, 6))[:, ::2]],
+        ids=["int64", "object", "too-wide", "strided"],
+    )
+    def test_only_c_ordered_float64_blocks_of_its_width_are_taken(self, block):
+        # one input path: every block is built in the engine's order as
+        # C-ordered float64, which it reduces in place
+        with pytest.raises(ValueError, match="blocks are C-ordered float64 with 3 columns"):
+            ModularRREF(3, PRIMES[0]).process_block(block)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
     def test_engine_fixes_the_mmap_threshold(self):
@@ -527,6 +565,77 @@ class TestModularRREF:
         assert _fix_malloc_thresholds()
         assert mmapped_blocks_of_8_mib("import torusjones") == 0
         assert mmapped_blocks_of_8_mib("") == 1
+
+
+def exact_rows(J, block, slots, m_degree, l_degree):
+    """The rows of one color as Python ints in the natural column order,
+    read off ``QTElem.apply``: the column of x * t^alpha M^k L^j holds the
+    coefficients of (t^alpha M^k L^j J)(n) on the rows t^(beta_min + 2i)."""
+    mwidth, lwidth = m_degree + 1, l_degree + 1
+    rows = [[0] * (len(slots) * mwidth * lwidth) for _ in range(block.width)]
+    for ai, alpha in enumerate(slots):
+        for k in range(mwidth):
+            for j in range(lwidth):
+                for e, c in QTElem({(k, j): TPoly({alpha: 1})}).apply(J, block.n).terms.items():
+                    rows[(e - block.beta_min) // 2][(ai * mwidth + k) * lwidth + j] = c
+    return rows
+
+
+class TestEngineLayout:
+    @pytest.mark.parametrize(
+        "big", [0, nullspace.FLOAT_INPUT_BOUND, 2**53 + 1, 2**63 + 1], ids=["small", "bound", "2^53+1", "2^63+1"]
+    )
+    def test_blocks_in_the_engine_order_match_the_references(self, big):
+        # Colors of a sequence with J(n+1) = (1 + t^2n) J(n), which L - 1 - M
+        # annihilates, so that the kernel stays nonzero and depends on every
+        # coefficient, are built by _color_matrix in each engine's column
+        # order and fed in turn; J(1) is random, with a gap that leaves zero
+        # rows and, unless small, a coefficient of magnitude big. A second
+        # engine at another prime joins after the third color and is re-fed
+        # the colors so far, as the kernel search's draw() does. After every
+        # color each engine equals rref_mod_p / standard_nullspace_mod_p of
+        # the exact rows mod its prime, and ExactEliminator's rank and
+        # standard basis, mod p.
+        rng = random.Random(15)
+        first = {0: rng.randint(1, 3), 2 * rng.randint(2, 6): -rng.randint(1, 3), 60: rng.randint(1, 3)}
+        if big:
+            first[2 * rng.randint(0, 30)] = rng.choice((-1, 1)) * big
+        table = {1: TPoly(first)}
+        for n in range(1, 8):
+            table[n + 1] = table[n] + TPoly({2 * n: 1}) * table[n]
+        J = DiscreteSeq("random", lambda n: table.get(n, TPoly.zero()))
+        slots, m_degree, l_degree = [-8, -6, -4, -2, 0, 2], 3, 1
+        ncols = len(slots) * (m_degree + 1) * (l_degree + 1)
+        engines, fed, rows = [ModularRREF(ncols, PRIMES[0])], [], []
+        exact = ExactEliminator(ncols)
+        seen = dict(zero_rows=0, dependent_rows=0, refed=0)
+        for block in _color_blocks(J, slots, m_degree, l_degree, (1, 7)):
+            if len(fed) == 3:
+                engines.append(ModularRREF(ncols, PRIMES[1]))
+                for old in fed:
+                    engines[-1].process_block(_color_matrix(old, slots, m_degree + 1, l_degree + 1, engines[-1]))
+                    seen["refed"] += 1
+            new = [e.process_block(_color_matrix(block, slots, m_degree + 1, l_degree + 1, e)) for e in engines]
+            fed.append(block)
+            block_rows = exact_rows(J, block, slots, m_degree, l_degree)
+            rows += block_rows
+            for row in block_rows:
+                exact.add_row({c: v for c, v in enumerate(row) if v})
+            seen["zero_rows"] += not all(map(any, block_rows))
+            seen["dependent_rows"] += sum(map(any, block_rows)) > new[0]
+            for e in engines:
+                p = e.p
+                piv, R = rref_mod_p([[v % p for v in row] for row in rows], p)
+                assert e.rank == len(piv) == exact.rank
+                assert sorted(e._pivcols.tolist()) == piv == sorted(exact.pivots)
+                assert e.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
+                lifted = []
+                for v in exact.nullspace():
+                    inv = pow(v[max(v)], -1, p)
+                    lifted.append({c: x * inv % p for c, x in v.items() if x * inv % p})
+                assert e.nullspace_mod_p() == lifted
+        assert len(fed) == 7 and min(seen.values()) >= 1, seen
+        assert 0 < exact.rank < ncols
 
 
 #: prints how many mappings malloc makes for one 8 MiB block, after ``{setup}``
@@ -570,7 +679,7 @@ def fed_engines(rows, primes):
     ncols = len(rows[0])
     engines = [ModularRREF(ncols, p) for p in primes]
     for e in engines:
-        e.process_block(np.array(rows, dtype=np.int64))
+        feed(e, rows)
     return engines
 
 
