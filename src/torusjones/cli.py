@@ -62,8 +62,9 @@ class Identity:
     ``run(K, n_range, ops, jser)`` returns a list of VerifyReports; n_range
     is None for a static check. ``verify`` gives each knot K one colored
     Jones sequence ``jser`` and one build of each named operator, which
-    ``ops(name)`` makes at its first call and returns after, so every
-    check of K reads the same J(n) and the same operators. Runners look
+    ``ops(name)`` makes at its first call and returns after (PQ from K's P
+    and Q), so every check of K reads the same J(n) and the same
+    operators. Runners look
     their callees up when they run, so a wrapper patched over a module
     attribute sees every call.
     """
@@ -197,7 +198,7 @@ def cmd_verify(args) -> int:
     reports = []
     for K in knots:
         # K's checks share one J and one build of each operator; dropped after K
-        jser, ops = jones_sequence(K), functools.cache(lambda name: build_named(name, K))
+        jser, ops = jones_sequence(K), functools.cache(lambda name: build_named(name, K, ops))
         for entry in entries:
             if not entry.applies(K):
                 if not args.suite and args.identity != "all":

@@ -12,13 +12,19 @@ refuses a wider engine. ``_submul`` fuses X - A @ B with its reduction.
 The pivot rows are stored as [I | X]: only X, their entries on the free
 columns, is kept. X is rank x (ncols - rank), at most ncols^2 / 4 entries,
 and every matmul is as wide as the free columns.
-The engine owns the column order of its input: a block is C-ordered
-float64 with the free columns first, in increasing order, and the pivot
-columns after them in discovery order (``ModularRREF.positions``), so its
-free and its pivot part are two views of it, and the block builder writes
-each color straight into that order. A block is reduced in place, X is
-back-reduced in place and resized by realloc, and every product is formed
-``_SLAB_ROWS`` rows at a time, so a step holds X, one block and slabs.
+The engine owns the column order and the buffers of its input. A color
+comes as a row source, which writes its rows with the free columns first,
+in increasing order, and the pivot columns after them in discovery order
+(``ModularRREF.positions``), ``_SLAB_ROWS`` rows at a time into a slab
+buffer of the engine; the free and the pivot part of a slab are two views
+of it. Each slab is reduced against X with one product into the second
+slab buffer, and only its nonzero rows' free parts are kept, in the
+reduced block that is eliminated. X is back-reduced in place through the
+same two slabs, at the front of a buffer sized for its largest shape. So a
+step holds X, one reduced block on the free columns and two slabs, all
+sized before it starts: arithmetic over a word-size prime field on
+floating-point BLAS, one slab at a time with delayed reduction, as in
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008).
 Full column rank mod p certifies rational kernel dimension 0 outright.
 Mod-p kernel vectors are only candidates, which callers lift over the
 product of the primes that ``combine`` keeps (``reconstruct_vector``) and
@@ -128,13 +134,16 @@ class ExactEliminator:
 _BASE_ROWS = 8
 #: Elements per slab of ``_mod``, so that its temporaries stay in cache.
 _SLAB = 1 << 15
-#: Rows per slab of the engine's products: no product temporary is as
-#: large as a block, and each matmul is still tall enough to run at GEMM
-#: speed.
-_SLAB_ROWS = 256
-#: Blocks fed to ``ModularRREF.process_block`` hold integers of magnitude
-#: below this, inside the exact range of ``_mod``; the block builder writes
-#: a value with a larger coefficient as residues mod the engine's prime.
+#: Rows per slab of the engine: the rows a row source writes at a time and
+#: the rows of each product. Each matmul against X or the new pivot rows
+#: rereads all of them, so slabs of 64 rows took about 20% more time on
+#: the 8b L-deg 2 query than slabs of 128 or 256; 256 rows raised the
+#: benchmark's certify peak from 76 to 84 MB.
+_SLAB_ROWS = 128
+#: Row sources fed to ``ModularRREF.process_block`` write integers of
+#: magnitude below this, inside the exact range of ``_mod``; the block
+#: builder writes a value with a larger coefficient as residues mod the
+#: engine's prime.
 FLOAT_INPUT_BOUND = 1 << 52
 #: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD,
 #: and the values that ``_fix_malloc_thresholds`` gives them: 4 MiB and
@@ -162,8 +171,10 @@ def _fix_malloc_thresholds() -> bool:
     pivot rows of a 3,393-column engine (up to 23 MB) still came from the
     heap, and the benchmark's certify peak read 114 or 132 MB with the
     length of the checkout's path; at 16 MiB they get their own mappings,
-    and it read 105 MB at all six lengths tried, and 84 MB since blocks
-    come in the engine's column order and X is updated in place.
+    and it read 105 MB at all six lengths tried, 84 MB once blocks came in
+    the engine's column order and X was updated in place, and 76 MB since
+    colors are streamed into the engine's slabs and X lives in one buffer
+    of its largest size.
 
     Free memory past the trim threshold at the top of the heap goes back to
     the system, and at glibc's fixed default of 128 KiB the engine's small
@@ -214,25 +225,28 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _subtract_product(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _subtract_product(X: np.ndarray, A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """X -= A @ B in place, ``_SLAB_ROWS`` rows of the product at a time in
-    one buffer; returns X."""
-    prod = np.empty((min(_SLAB_ROWS, X.shape[0]), X.shape[1]))
+    the flat buffer buf, of at least ``_SLAB_ROWS`` * X.shape[1] entries;
+    returns X."""
+    width = X.shape[1]
     for s in range(0, X.shape[0], _SLAB_ROWS):
         x = X[s : s + _SLAB_ROWS]
-        x -= np.matmul(A[s : s + _SLAB_ROWS], B, out=prod[: x.shape[0]])
+        prod = buf[: x.shape[0] * width].reshape(x.shape[0], width)
+        x -= np.matmul(A[s : s + _SLAB_ROWS], B, out=prod)
     return X
 
 
-def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     """X = X - A @ B reduced to signed residues (``_mod``) in place, exactly,
     for X, A and B with entries of magnitude below h = p // 2 + 4 and an
-    inner dimension k with h + k h^2 <= 2^53 - p; returns X. Every partial
-    sum of the product then is an integer of magnitude below k h^2, exact in
-    float64 in any order of summation, and X - A @ B is in the range of
-    ``_mod``. Inside ``ModularRREF`` k is at most its column count, which
-    its construction checks against ``_lazy_bound``."""
-    return _mod(_subtract_product(X, A, B), p)
+    inner dimension k with h + k h^2 <= 2^53 - p; returns X. The product is
+    formed in buf (``_subtract_product``). Every partial sum of the product
+    then is an integer of magnitude below k h^2, exact in float64 in any
+    order of summation, and X - A @ B is in the range of ``_mod``. Inside
+    ``ModularRREF`` k is at most its column count, which its construction
+    checks against ``_lazy_bound``."""
+    return _mod(_subtract_product(X, A, B, buf), p)
 
 
 def _lazy_bound(ncols: int, p: int) -> int:
@@ -243,9 +257,10 @@ def _lazy_bound(ncols: int, p: int) -> int:
     return h + (ncols + _BASE_ROWS) * h * h
 
 
-def _rref_dense(B: np.ndarray, p: int) -> tuple:
+def _rref_dense(B: np.ndarray, p: int, buf: np.ndarray) -> tuple:
     """In-place RREF of a dense block mod p, with entries of magnitude below
-    h = p // 2 + 4 on entry.
+    h = p // 2 + 4 on entry; its products are formed in the flat buffer buf
+    (``_subtract_product``).
 
     Returns (R, cols): R, the first len(cols) rows of B, has value 1 at
     column cols[i] of row i and 0 at every other cols[j], and its entries
@@ -289,61 +304,75 @@ def _rref_dense(B: np.ndarray, p: int) -> tuple:
             B[:k] = B[keep]
         return _mod(B[:k], p), np.array(cols, dtype=np.int64)
     half = m // 2
-    R1, c1 = _rref_dense(B[:half], p)
+    R1, c1 = _rref_dense(B[:half], p, buf)
     B2 = B[half:]
     if c1.size:
         C = _mod(B2[:, c1], p)
         if np.any(C):
-            _subtract_product(B2, C, R1)
-    R2, c2 = _rref_dense(B2, p)
+            _subtract_product(B2, C, R1, buf)
+    R2, c2 = _rref_dense(B2, p, buf)
     if c2.size and c1.size:
         C = R1[:, c2]
         if np.any(C):
-            _submul(R1, C, R2, p)
+            _submul(R1, C, R2, p, buf)
     k1, k2 = len(c1), len(c2)
     if k1 < half:
         B[k1 : k1 + k2] = R2
     return B[: k1 + k2], np.concatenate([c1, c2])
 
 
-def _reduce_rows(B: np.ndarray, X: np.ndarray, nfree: int, p: int) -> np.ndarray:
-    """The nonzero rows of B's free-column view B[:, :nfree] after the
-    reduction against the pivot rows [I | X], whose pivot-column view is
-    B[:, nfree:]; they are reduced (``_mod``) and moved to the front of B's
-    buffer as a C-ordered matrix, which is returned. A slab's rows are read
-    before they are written, and the rows written end where the first
-    unread row starts."""
-    _mod(B, p)
-    C = B[:, nfree:]
-    if np.any(C):
-        _submul(B[:, :nfree], C, X, p)
-    nonzero = np.flatnonzero(np.any(B[:, :nfree], axis=1))
-    flat = B.reshape(-1)
-    for s in range(0, nonzero.size, _SLAB_ROWS):
-        rows = B[nonzero[s : s + _SLAB_ROWS], :nfree]
-        flat[s * nfree : (s + rows.shape[0]) * nfree] = rows.ravel()
-    return flat[: nonzero.size * nfree].reshape(nonzero.size, nfree)
+def _reduce_rows(rows, X: np.ndarray, p: int, slab: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The nonzero rows of a row source's free-column part after the
+    reduction against the pivot rows [I | X], reduced (``_mod``), as the
+    front of one C-ordered len(rows) x X.shape[1] buffer: the reduced block.
+    The source writes ``_SLAB_ROWS`` rows at a time into the flat buffer
+    slab, and each slab's pivot-column part times X is formed in buf."""
+    m, (rank, nfree) = len(rows), X.shape
+    ncols = rank + nfree
+    reduced = np.empty((m, nfree))
+    k = 0
+    for s in range(0, m, _SLAB_ROWS):
+        n = min(_SLAB_ROWS, m - s)
+        S = slab[: n * ncols].reshape(n, ncols)
+        rows.write(s, S)
+        _mod(S, p)
+        F, C = S[:, :nfree], S[:, nfree:]
+        # F - C @ X goes to buf, since np.take copies a strided input
+        P = buf[: n * nfree].reshape(n, nfree)
+        if np.any(C):
+            _mod(np.subtract(F, np.matmul(C, X, out=P), out=P), p)
+        else:
+            P[...] = F
+        nonzero = np.flatnonzero(np.any(P, axis=1))
+        # mode="clip" writes straight to out; the default mode buffers a copy
+        np.take(P, nonzero, axis=0, out=reduced[k : k + nonzero.size], mode="clip")
+        k += nonzero.size
+    return reduced[:k]
 
 
-def _back_reduce(X: np.ndarray, kept: np.ndarray, cols: np.ndarray, Rk: np.ndarray, p: int) -> None:
-    """Write X[:, kept] - X[:, cols] @ Rk, reduced as by ``_submul``, over
-    the front of X's buffer, as a C-ordered matrix of X's rows and len(kept)
-    columns. A slab's rows are read before any of them is written, and the
+def _keep_columns(
+    A: np.ndarray, kept: np.ndarray, cols: np.ndarray, R, p: int, slab: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """Write A[:, kept] - A[:, cols] @ R, reduced as by ``_submul``, over the
+    front of A's buffer as a C-ordered matrix of A's rows and len(kept)
+    columns, and return that matrix; with no cols (and R None), A[:, kept].
+    ``_SLAB_ROWS`` rows of A at a time are gathered into the flat buffer
+    slab, their kept columns first, and their product with R is formed in
+    buf. A slab's rows are read before any of them is written, and the
     rows written end where the first unread row starts."""
-    flat = X.reshape(-1)
+    flat = A.reshape(-1)
     width = kept.size
-    part = np.empty((min(_SLAB_ROWS, X.shape[0]), width))
-    prod = np.empty_like(part)
-    for s in range(0, X.shape[0], _SLAB_ROWS):
-        blk = X[s : s + _SLAB_ROWS]
+    order = np.concatenate([kept, cols])
+    for s in range(0, A.shape[0], _SLAB_ROWS):
+        blk = A[s : s + _SLAB_ROWS]
         n = blk.shape[0]
         # mode="clip" writes straight to out; the default mode buffers a copy
-        out = np.take(blk, kept, axis=1, out=part[:n], mode="clip")
-        C = blk[:, cols]
+        S = np.take(blk, order, axis=1, out=slab[: n * order.size].reshape(n, order.size), mode="clip")
+        part, C = S[:, :width], S[:, width:]
         if np.any(C):
-            out -= np.matmul(C, Rk, out=prod[:n])
-            _mod(out, p)
-        flat[s * width : (s + n) * width] = out.ravel()
+            _submul(part, C, R, p, buf)
+        flat[s * width : (s + n) * width].reshape(n, width)[...] = part
+    return flat[: A.shape[0] * width].reshape(A.shape[0], width)
 
 
 class ModularRREF:
@@ -357,10 +386,14 @@ class ModularRREF:
     one per column of X. X grows by rows and shrinks by columns as colors
     arrive, and rank * (ncols - rank) <= ncols^2 / 4 bounds it: about
     200 MB at the 10,000-column solved class of a query at
-    ``MAX_KERNEL_UNKNOWNS``. Blocks come in the column order of
-    ``positions``: the free columns, then the pivot columns in the order of
-    the rows of X. A step holds X, the block being fed and slabs of
-    ``_SLAB_ROWS`` rows, so its memory is known before it starts.
+    ``MAX_KERNEL_UNKNOWNS``. It lives at the front of one buffer of that
+    bound, made at the first block with the two slab buffers of
+    ``_SLAB_ROWS`` x ncols; its pages are faulted in as X first reaches
+    them. Rows come in the column order of ``positions``: the free columns,
+    then the pivot columns in the order of the rows of X. A step holds X's
+    buffer, one reduced block (the color's rows x the free columns) and
+    the two slabs, so its memory follows from ncols and the color's row
+    count before it starts.
 
     The construction refuses an engine whose lazy reduction bound
     (``_lazy_bound``) could leave the exact range of ``_mod``: about
@@ -376,54 +409,60 @@ class ModularRREF:
         self._pivcols = np.zeros(0, dtype=np.int64)
         self._free = np.arange(ncols, dtype=np.int64)
         self.rank = 0
+        # made at the first block: X's buffer, of the largest rank x (ncols -
+        # rank), and two slab buffers of _SLAB_ROWS x ncols
+        self._store = self._slabs = None
 
     def positions(self) -> np.ndarray:
-        """Where each column goes in a block fed to ``process_block``:
+        """Where each column goes in the rows fed to ``process_block``:
         position[c] for column c. The free columns come first, in increasing
         order, then the pivot columns in discovery order, so that the free
-        and the pivot part of a block are two column views of it."""
+        and the pivot part of a slab are two column views of it."""
         position = np.empty(self.ncols, dtype=np.int64)
         position[self._free] = np.arange(self._free.size)
         position[self._pivcols] = np.arange(self._free.size, self.ncols)
         return position
 
-    def process_block(self, B: np.ndarray) -> int:
-        """Feed a block of rows and return the new pivot count. B is
-        C-ordered float64, rows x ncols in the column order of
-        ``positions``, and holds integers of magnitude below
-        ``FLOAT_INPUT_BOUND``; it is reduced in place.
+    def process_block(self, rows) -> int:
+        """Feed the rows of a row source and return the new pivot count.
+        ``len(rows)`` is their count, and ``rows.write(s, out)`` writes rows
+        s, ..., s + len(out) - 1 into out, a C-ordered float64 slab of ncols
+        columns that the engine hands it, in the column order of
+        ``positions``, as integers of magnitude below ``FLOAT_INPUT_BOUND``.
 
-        The free-column view of B is reduced against X with the pivot-column
-        view, a slab of rows at a time, so that no product temporary is as
-        large as the block. What is left of each row lies on the free
-        columns; its nonzero rows are moved to the front of B's buffer and
-        eliminated there. R's kept columns are taken before X grows, so a
-        block that the caller passes as a temporary is freed before then
-        (CPython 3.11 and later move a call's arguments into the callee)."""
-        if B.dtype != np.float64 or B.ndim != 2 or B.shape[1] != self.ncols or not B.flags.c_contiguous:
-            raise ValueError(f"blocks are C-ordered float64 with {self.ncols} columns, not {B.dtype} {B.shape}")
+        Each slab's free-column view is reduced against X with its
+        pivot-column view, and the nonzero rows' free parts are moved into
+        the reduced block (``_reduce_rows``), which is eliminated there. The
+        new pivot rows' kept columns are written over the front of its
+        buffer, X is back-reduced over the front of its own buffer, and
+        those rows become X's last rows. X's buffer never moves: growing X
+        by realloc copied it when it passed the mmap threshold, with the old
+        and the new X alive at once (13 and 18 MB in the benchmark's (3,4)
+        certify query, where its peak RSS sat). So a step holds X, one
+        reduced block on the free columns and two slabs, all sized before it
+        starts."""
         p, X, r = self.p, self._X, self.rank
         nfree = self._free.size
-        Bf = _reduce_rows(B, X, nfree, p)
-        del B
-        if not Bf.shape[0]:
+        if not len(rows) or not nfree:
             return 0
-        R, cols = _rref_dense(Bf, p)  # cols index into the free columns
+        if self._store is None:
+            half = self.ncols // 2
+            self._store = np.empty(half * (self.ncols - half))
+            self._slabs = (np.empty(_SLAB_ROWS * self.ncols), np.empty(_SLAB_ROWS * self.ncols))
+        slab, buf = self._slabs
+        R, cols = _rref_dense(_reduce_rows(rows, X, p, slab, buf), p, buf)  # cols index into the free columns
         n_new = len(cols)
         if not n_new:
             return 0
-        # The new pivot columns leave X. On the kept columns, back-reduce the
-        # old pivot rows (X -= X[:, cols] @ R) over the front of X's own
-        # buffer; on the dropped ones the result is 0, since R[:, cols] = I.
-        # Then X is resized in place (realloc, no view of it is alive) and
-        # R's kept columns become its last rows.
+        # The new pivot columns leave X. On the kept columns the old pivot
+        # rows are back-reduced (X -= X[:, cols] @ R); on the dropped ones
+        # the result is 0, since R[:, cols] = I.
         keep = np.ones(nfree, dtype=bool)
         keep[cols] = False
         kept = np.flatnonzero(keep)
-        Rk = R[:, kept]
-        del R, Bf
-        _back_reduce(X, kept, cols, Rk, p)
-        X.resize((r + n_new, kept.size), refcheck=False)
+        Rk = _keep_columns(R, kept, cols[:0], None, p, slab, buf)
+        _keep_columns(X, kept, cols, Rk, p, slab, buf)
+        X = self._X = self._store[: (r + n_new) * kept.size].reshape(r + n_new, kept.size)
         X[r:] = Rk
         self._pivcols = np.concatenate([self._pivcols, self._free[cols]])
         self._free = self._free[keep]

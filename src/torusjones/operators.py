@@ -216,10 +216,12 @@ def build_Q(a: int, b: int) -> NamedOperator:
     return NamedOperator("Q", a, b, elem)
 
 
-def build_PQ(a: int, b: int) -> NamedOperator:
-    p = build_P(a, b)
-    q = build_Q(a, b)
-    return NamedOperator("PQ", a, b, p.element * q.element)
+def build_PQ(a: int, b: int, P: NamedOperator | None = None, Q: NamedOperator | None = None) -> NamedOperator:
+    """P * Q of T(a, b), from the knot's P and Q when the caller has built
+    them; without them it builds its own."""
+    P = build_P(a, b) if P is None else P
+    Q = build_Q(a, b) if Q is None else Q
+    return NamedOperator("PQ", a, b, P.element * Q.element)
 
 
 def build_R(b: int) -> NamedOperator:
@@ -255,11 +257,12 @@ def a_polynomial_text(a: int, b: int) -> str:
 class OperatorFacts:
     """What the paper states about one named operator.
 
-    ``build(K)`` looks its ``build_*`` up when it is called, so a wrapper
-    patched over the module attribute sees every build. ``displays(a, b)``
-    gives the factorized forms of epsilon(op) as operator-grammar text: the
-    first is the one ``reduce`` prints, and every one is checked. None for an
-    operator with no display.
+    ``build(K, ops)`` looks its ``build_*`` up when it is called, so a
+    wrapper patched over the module attribute sees every build; ``ops(name)``
+    gives K's other named operators to a build made from them (PQ from P
+    and Q). ``displays(a, b)`` gives the factorized forms of epsilon(op) as
+    operator-grammar text: the first is the one ``reduce`` prints, and every
+    one is checked. None for an operator with no display.
     """
 
     family: str  # "a=2" or "a>2"
@@ -271,26 +274,26 @@ class OperatorFacts:
 #: the one table of the named operators
 OPERATORS = {
     "F": OperatorFacts(
-        "a>2", lambda K: build_F(K.a, K.b), False,
+        "a>2", lambda K, ops: build_F(K.a, K.b), False,
         lambda a, b: (
             f"M^-{2 * a * b}*(M^{a}-M^-{a})*(M^{b}-M^-{b}) * ({a_polynomial_text(a, b)})",
         ),
     ),
     "G": OperatorFacts(
-        "a=2", lambda K: build_G(K.b), False,
+        "a=2", lambda K, ops: build_G(K.b), False,
         lambda a, b: (f"M^-{2 * b}*(M^2-M^-2) * ({a_polynomial_text(a, b)})",),
     ),
-    "P": OperatorFacts("a>2", lambda K: build_P(K.a, K.b), True),
-    "Q": OperatorFacts("a>2", lambda K: build_Q(K.a, K.b), True),
+    "P": OperatorFacts("a>2", lambda K, ops: build_P(K.a, K.b), True),
+    "Q": OperatorFacts("a>2", lambda K, ops: build_Q(K.a, K.b), True),
     "PQ": OperatorFacts(
-        "a>2", lambda K: build_PQ(K.a, K.b), True,
+        "a>2", lambda K, ops: build_PQ(K.a, K.b, ops("P"), ops("Q")), True,
         lambda a, b: (
             f"L^-2*(L^-1*M^-{a * b}*{a_polynomial_text(a, b)})^4",
             f"(L+L^-1-2)^2*(L^2*M^{2 * a * b}+L^-2*M^-{2 * a * b}-2)^2",
         ),
     ),
     "R": OperatorFacts(
-        "a=2", lambda K: build_R(K.b), True,
+        "a=2", lambda K, ops: build_R(K.b), True,
         lambda a, b: (
             f"(L^-1*M^-{b}*{a_polynomial_text(a, b)})^2",
             f"(L+L^-1-2)*(L*M^{2 * b}+L^-1*M^-{2 * b}+2)",
@@ -299,16 +302,18 @@ OPERATORS = {
 }
 
 
-def build_named(name: str, K: TorusKnot) -> NamedOperator:
+def build_named(name: str, K: TorusKnot, ops: Callable | None = None) -> NamedOperator:
     """Construct the named operator for K. An unknown name raises BadParams;
-    a knot outside the operator's family in ``OPERATORS`` raises WrongCase."""
+    a knot outside the operator's family in ``OPERATORS`` raises WrongCase.
+    ``ops(name)`` gives the other operators of K that the build reads (PQ
+    reads P and Q); without it they are built here."""
     facts = OPERATORS.get(name)
     if facts is None:
         raise BadParams(f"unknown operator name {name!r}")
     if not in_family(facts.family, K):
         family = "the (2,b) family" if facts.family == "a=2" else "knots with a > 2"
         raise WrongCase(f"operator {name} applies to {family}, not {K}")
-    return facts.build(K)
+    return facts.build(K, ops or functools.partial(build_named, K=K))
 
 
 def verify_annihilation(op: NamedOperator, f: DiscreteSeq, n_range: tuple) -> VerifyReport:
@@ -389,9 +394,10 @@ def verify_pq_consistency(K: TorusKnot, jser: DiscreteSeq, n_range: tuple) -> Ve
 
 # --- bounded minimality kernel search ---------------------------------------
 
-#: Cells per row slab of ``_color_matrix``'s gather, so that its index
-#: temporary stays in cache.
-_ROW_SLAB_CELLS = 1 << 16
+#: Cells per gather of a ``_ColorRows`` row source, so that its index
+#: temporary (256 KiB) stays in cache; at 2^16 cells the gathers were no
+#: faster, and the temporary was twice as large.
+_ROW_SLAB_CELLS = 1 << 15
 
 
 def _parity_plan(lo: int, hi: int) -> tuple:
@@ -456,12 +462,14 @@ def _sweep_candidate(elem: QTElem, jser: DiscreteSeq, n_range: tuple) -> VerifyR
 
 
 class _ColorBlock(NamedTuple):
-    """The constraint rows of one color n: row i is the coefficient of
-    t^(beta_min + 2i). values[j] is J(n+j) as ``DiscreteSeq.dense`` gives
-    it (the cached tuple, shared by every color that reads J(n+j)), or None
-    when J(n+j) is zero; expand(n+j) is its coefficient array (``_expand``),
-    made when a block that reads it is first built and shared the same
-    way."""
+    """The geometry of one color n's constraint rows: width rows, row i the
+    coefficient of t^(beta_min + 2i). values[j] is J(n+j) as
+    ``DiscreteSeq.dense`` gives it (the cached tuple, shared by every color
+    that reads J(n+j)), or None when J(n+j) is zero; expand(n+j) is its
+    coefficient array (``_expand``), made when a row source that reads it
+    is first built (``_color_matrix``) and shared the same way. The rows
+    themselves are only ever written a slab at a time, into an engine's
+    buffer."""
 
     n: int
     values: list
@@ -500,20 +508,44 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
     return blocks
 
 
-def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, engine: ModularRREF) -> np.ndarray:
-    """The constraint block of one color as ``engine`` takes it: float64,
-    rows x columns in the engine's column order (``positions``). The
-    unknown x * t^alpha M^k L^j, column (alpha index * mwidth + k) * lwidth
-    + j, contributes t^(alpha + 2kn) J(n+j). A value whose max |coefficient|
-    reaches ``FLOAT_INPUT_BOUND`` is written as its residues mod the
-    engine's prime, every other value as its coefficients.
+class _ColorRows:
+    """One color's constraint rows as a row source of ``process_block``:
+    ``len()`` is the color's row count, and ``write(s, out)`` writes rows
+    s, ..., s + len(out) - 1 into out, in the column order its base was
+    gathered for. Row i is the strip read at base + i, one ``np.take`` per
+    ``_ROW_SLAB_CELLS`` cells."""
+
+    def __init__(self, strip: np.ndarray, base: np.ndarray, width: int):
+        self.strip, self.base, self.width = strip, base, width
+
+    def __len__(self) -> int:
+        return self.width
+
+    def write(self, start: int, out: np.ndarray) -> None:
+        rows = max(1, _ROW_SLAB_CELLS // self.base.size)
+        for s in range(0, out.shape[0], rows):
+            e = min(s + rows, out.shape[0])
+            # mode="clip" writes straight to out; every index is in the strip
+            index = self.base + np.arange(start + s, start + e)[:, None]
+            np.take(self.strip, index, out=out[s:e], mode="clip")
+
+
+def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, engine: ModularRREF) -> _ColorRows:
+    """The constraint rows of one color as ``engine`` takes them: a row
+    source (``_ColorRows``) that writes float64 rows in the engine's column
+    order (``positions``), a slab at a time into the engine's own buffer.
+    The unknown x * t^alpha M^k L^j, column (alpha index * mwidth + k) *
+    lwidth + j, contributes t^(alpha + 2kn) J(n+j). A value whose max
+    |coefficient| reaches ``FLOAT_INPUT_BOUND`` is written as its residues
+    mod the engine's prime, every other value as its coefficients.
 
     Every value lies in one strip, its coefficients on every stride-th
     entry, with ``width`` zeros before and after it; the column of a copy
     that starts at row `off` reads the strip from its value's start minus
     off, and a column whose value is zero reads the strip's leading zeros.
-    So each row is one gather from the strip, written in place, and the
-    block is written once, row by row."""
+    So row i is one gather from the strip at the base offsets plus i. The
+    strip and the base are built once per color and engine; the color's
+    rows x columns block is never formed."""
     pieces = [np.zeros(block.width)]
     start, lows = np.zeros(lwidth, dtype=np.int64), np.zeros(lwidth, dtype=np.int64)
     size = block.width
@@ -535,13 +567,7 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, eng
     off = (alpha + 2 * block.n * np.arange(mwidth)[:, None] + lows) // 2
     base = np.where(start > 0, start - off, 0).ravel()
     base[engine.positions()] = base.copy()
-    B = np.empty((block.width, base.size))
-    rows = max(1, _ROW_SLAB_CELLS // base.size)
-    for s in range(0, block.width, rows):
-        e = min(s + rows, block.width)
-        # mode="clip" writes straight to out; every index is in the strip
-        np.take(strip, base + np.arange(s, e)[:, None], out=B[s:e], mode="clip")
-    return B
+    return _ColorRows(strip, base, block.width)
 
 
 def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
@@ -549,11 +575,14 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
 
     Both methods run ``ModularRREF`` engines, fed the colors in order, at
     the primes of one supply: ``PRIMES[0]`` alone for ``modular``,
-    ``prime_supply()`` for ``exact``. The search stops at full rank or when
-    the kernel verifies at a checkpoint: a color from the second on that
-    adds no rank at nullity at most MAX_CANDIDATE_NULLITY, or the end of
-    n_range. There the kernel is lifted over the primes ``combine`` keeps
-    and swept over n_range. A failed lift, or a failure at a color already
+    ``prime_supply()`` for ``exact``. Each color goes to each engine as a
+    row source built for it (``_color_matrix``), which writes the color
+    into the engine's slabs, so no color's full-width block is formed, in
+    the first feed or in the re-feed of a new engine. The search stops at
+    full rank or when the kernel verifies at a checkpoint: a color from the
+    second on that adds no rank at nullity at most MAX_CANDIDATE_NULLITY,
+    or the end of n_range. There the kernel is lifted over the primes
+    ``combine`` keeps and swept over n_range. A failed lift, or a failure at a color already
     fed, adds an engine at the supply's next prime, fed the colors so far,
     and lifts again (with no prime left: keep feeding). A first failure at
     a later color means keep feeding: candidates that pass the fed colors
@@ -611,7 +640,7 @@ def _solve_block(jser, slots, blocks, m_degree, l_degree, n_range, method):
         if block is None:
             continue
         before = max(e.rank for e in engines)
-        for e in engines:  # a temporary each, which process_block can free before X grows
+        for e in engines:
             e.process_block(_color_matrix(block, slots, mwidth, lwidth, e))
         fed.append(block)
         rank = max(e.rank for e in engines)

@@ -174,13 +174,26 @@ class TestPowerMembership:
     def test_verify_all_suite_builds_each_operator_once(self, monkeypatch, capsys):
         calls = Counter()
         build = cli.build_named
-        monkeypatch.setattr(cli, "build_named", lambda name, K: calls.update([(name, K)]) or build(name, K))
+        monkeypatch.setattr(cli, "build_named", lambda name, K, ops: calls.update([(name, K)]) or build(name, K, ops))
         assert cli.main(["verify", "all", "--suite", "--json"]) == 0
         assert '"identity": "p-membership"' in capsys.readouterr().out
         # every operator of every knot, once: 22 builds
         expected = {(name, K) for K in SUITE_KNOTS for name, facts in OPERATORS.items() if in_family(facts.family, K)}
         assert calls == Counter(expected)
         assert len(expected) == 22
+
+    def test_verify_all_suite_builds_pq_from_the_knots_p_and_q(self, monkeypatch, capsys):
+        # PQ multiplies the knot's own P and Q, so each a > 2 knot builds
+        # P and Q once: 8 builds, not the 16 of a PQ that built its own
+        calls = Counter()
+        for name in ("build_P", "build_Q"):
+            real = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda a, b, name=name, real=real: calls.update([(name, a, b)]) or real(a, b))
+        assert cli.main(["verify", "all", "--suite", "--json"]) == 0
+        capsys.readouterr()
+        knots = [K for K in SUITE_KNOTS if K.a > 2]
+        assert calls == Counter((name, K.a, K.b) for K in knots for name in ("build_P", "build_Q"))
+        assert sum(calls.values()) == 8
 
     @pytest.mark.parametrize("K", [K34, K23], ids=["PQ", "R"])
     def test_both_checks_reduce_and_parse_once(self, monkeypatch, K):
@@ -200,9 +213,10 @@ class TestPowerMembership:
     def test_p_membership_alone_builds_one_operator(self, monkeypatch, ab):
         calls = []
         build = cli.build_named
-        monkeypatch.setattr(cli, "build_named", lambda name, K: calls.append(name) or build(name, K))
+        monkeypatch.setattr(cli, "build_named", lambda name, K, ops: calls.append(name) or build(name, K, ops))
         assert cli.main(["verify", "p-membership", "-a", str(ab[0]), "-b", str(ab[1])]) == 0
-        assert calls == ["R" if ab[0] == 2 else "PQ"]
+        # PQ is made from the knot's P and Q, each built once
+        assert calls == (["R"] if ab[0] == 2 else ["PQ", "P", "Q"])
 
 
 class TestAPrimeSigma:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusjones import operators
+from torusjones import nullspace, operators
 from torusjones.jones import TorusKnot
 from torusjones.laurent import TPoly
 from torusjones.nullspace import FLOAT_INPUT_BOUND, PRIMES, ExactEliminator, ModularRREF
@@ -48,9 +48,10 @@ def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range, p=PRIMES[0
     engine = ModularRREF(len(slots) * mwidth * lwidth, p)
     blocks = _color_blocks(J, slots, m_degree, l_degree, n_range)
     for n, block in zip(range(n_range[0], n_range[1] + 1), blocks):
-        B = None if block is None else _color_matrix(block, slots, mwidth, lwidth, engine)
+        source = None if block is None else _color_matrix(block, slots, mwidth, lwidth, engine)
+        B = None if source is None else block_of(source, engine.ncols)
         if B is not None:
-            assert B.shape == (block.width, engine.ncols) and B.dtype == np.float64
+            assert len(source) == block.width
             position = engine.positions()
         for ai, alpha in enumerate(slots):
             for k in range(mwidth):
@@ -65,14 +66,22 @@ def assert_columns_match_apply(J, slots, m_degree, l_degree, n_range, p=PRIMES[0
                     rows = np.flatnonzero(column).tolist()
                     got = {block.beta_min + 2 * i: int(column[i]) for i in rows}
                     assert got == expected, (n, alpha, k, j)
-        if B is not None:
-            engine.process_block(B)
+        if source is not None:
+            engine.process_block(source)
+
+
+def block_of(rows, ncols):
+    """The rows x ncols float64 block that a row source writes."""
+    B = np.empty((len(rows), ncols))
+    rows.write(0, B)
+    return B
 
 
 def natural_block(block, slots, mwidth, lwidth):
-    """``_color_matrix`` in the natural column order: the order of an
-    engine that has found no pivot."""
-    return _color_matrix(block, slots, mwidth, lwidth, ModularRREF(len(slots) * mwidth * lwidth, PRIMES[0]))
+    """``_color_matrix``'s block in the natural column order: the order of
+    an engine that has found no pivot."""
+    ncols = len(slots) * mwidth * lwidth
+    return block_of(_color_matrix(block, slots, mwidth, lwidth, ModularRREF(ncols, PRIMES[0])), ncols)
 
 
 @pytest.mark.parametrize("ab", [(2, 3), (3, 4)], ids=lambda ab: f"{ab[0]},{ab[1]}")
@@ -112,8 +121,7 @@ def test_block_dtype_follows_the_largest_coefficient(big, dtype):
     for p in PRIMES[:2]:
         engine = ModularRREF(len(slots) * mwidth * lwidth, p)
         for block in _color_blocks(J, slots, mwidth - 1, lwidth - 1, (1, 2)):
-            B = _color_matrix(block, slots, mwidth, lwidth, engine)
-            assert B.dtype == np.float64
+            B = block_of(_color_matrix(block, slots, mwidth, lwidth, engine), engine.ncols)
             if dtype is np.float64:
                 assert float(big) in B
             else:
@@ -147,10 +155,9 @@ def test_float_blocks_equal_the_integer_construction(query, jcache):
     for block in _color_blocks(J, slots, m_degree, l_degree, n_range):
         if block is None:
             continue
-        got = _color_matrix(block, slots, mwidth, lwidth, engine)
+        got = block_of(_color_matrix(block, slots, mwidth, lwidth, engine), engine.ncols)
         values = [None if v is None else (*v[:3], FLOAT_INPUT_BOUND, *v[4:]) for v in block.values]
-        ref = _color_matrix(block._replace(values=values), slots, mwidth, lwidth, engine)
-        assert got.dtype == ref.dtype == np.float64
+        ref = block_of(_color_matrix(block._replace(values=values), slots, mwidth, lwidth, engine), engine.ncols)
         assert np.array_equal(got.astype(np.int64) % engine.p, ref.astype(np.int64))
         assert np.abs(got).max() < FLOAT_INPUT_BOUND
         colors += 1
@@ -183,39 +190,45 @@ def test_each_value_is_expanded_once_per_query(monkeypatch):
     assert len(read) < 14  # of J(1), ..., J(14)
 
 
-#: What the memory guard allows beyond one X and one block: one of the
-#: engine's slab buffers (``_SLAB_ROWS`` rows of the (2,7) query's 1,368
-#: columns, 2.7 MiB) and small arrays. A block-sized copy (8.6 MiB at the
+#: What the memory guard allows beyond X, one reduced block and the
+#: engine's two slab buffers: a row source's gather index, ``_mod``'s
+#: temporaries and small arrays. A full-width block (8.6 MiB at the (2,7)
 #: query's last color) does not fit in it.
-SLAB_ALLOWANCE = 3 << 20
+SMALL_ALLOWANCE = 1 << 20
 
 
-def test_peak_memory_is_one_x_one_block_and_slabs(monkeypatch):
-    # the (2,7) L-degree 2 query of the benchmark; its largest stored
-    # pivot rows X and its largest block are read off a first run, and a
-    # second run under tracemalloc may peak at no more than their sum plus
-    # the slab allowance (it peaks at 10.1 MiB of 15.2 allowed; 19.2 MiB
-    # when the engine gathered copies of each block)
+@pytest.mark.parametrize("slab_rows", [64, nullspace._SLAB_ROWS])
+def test_peak_memory_is_one_x_one_reduced_block_and_two_slabs(monkeypatch, slab_rows):
+    # the (2,7) L-degree 2 query of the benchmark: its largest stored pivot
+    # rows X and its largest reduced block, the color's rows x the free
+    # columns at its feed, are read off a first run, and a second run under
+    # tracemalloc may peak at no more than their sum, the engine's two slab
+    # buffers of slab_rows x ncols and SMALL_ALLOWANCE. At 64-row slabs it
+    # peaks at 7.8 MiB of 8.1 allowed, and at 128 rows at 9.1 of 9.4; an
+    # engine that took each color as a full-width block peaked at 9.5 MiB
+    # with 64-row product slabs (10.1 at its 256 rows)
+    monkeypatch.setattr(nullspace, "_SLAB_ROWS", slab_rows)
     query = KernelQuery(TorusKnot(2, 7), 2, 18, (-44, 2), (1, 19))
-    xs, blocks = [], []
+    xs, reduced, slabs = [], [], []
     real = ModularRREF.process_block
 
-    def recording(engine, B):
-        blocks.append(B.nbytes)
-        new = real(engine, B)
+    def recording(engine, rows):
+        reduced.append(len(rows) * engine._free.size * 8)
+        slabs.append(2 * slab_rows * engine.ncols * 8)
+        new = real(engine, rows)
         xs.append(engine._X.nbytes)
         return new
 
     monkeypatch.setattr(ModularRREF, "process_block", recording)
     minimality_kernel(query)
-    monkeypatch.undo()
+    monkeypatch.setattr(ModularRREF, "process_block", real)
     tracemalloc.start()
     try:
         minimality_kernel(query)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= max(xs) + max(blocks) + SLAB_ALLOWANCE
+    assert peak <= max(xs) + max(reduced) + max(slabs) + SMALL_ALLOWANCE
 
 
 def oracle_basis(J, slots, m_degree, l_degree, n_range) -> list:

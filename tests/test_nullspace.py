@@ -150,14 +150,37 @@ def dense(rows, ncols):
     return B
 
 
+class Rows:
+    """The integer rows A, in the natural column order, as a row source of
+    ``mr``: ``write`` puts them in the column order of its ``positions`` at
+    the time the source is made, as float64, or as their residues mod
+    ``mr.p`` when an entry's magnitude reaches ``FLOAT_INPUT_BOUND``, as the
+    block builder writes them."""
+
+    def __init__(self, mr, A):
+        A = np.asarray(A)
+        if A.size and np.abs(A).max() >= nullspace.FLOAT_INPUT_BOUND:
+            A = A % mr.p
+        self.A, self.position = A, mr.positions()
+
+    def __len__(self):
+        return len(self.A)
+
+    def write(self, start, out):
+        out[:, self.position] = self.A[start : start + len(out)]
+
+
 def feed(mr, A):
-    """Feed the integer rows A, in the natural column order, to ``mr`` as it
-    takes them: a float64 block in the column order of its ``positions``.
-    Returns the new pivot count."""
-    A = np.asarray(A)
-    B = np.empty(A.shape)
-    B[:, mr.positions()] = A
-    return mr.process_block(B)
+    """Feed the integer rows A, in the natural column order, to ``mr``
+    through a ``Rows`` source. Returns the new pivot count."""
+    return mr.process_block(Rows(mr, A))
+
+
+def block_of(source, ncols):
+    """The rows x ncols float64 block that a row source writes."""
+    B = np.empty((len(source), ncols))
+    source.write(0, B)
+    return B
 
 
 def rref_mod_p(A, p):
@@ -317,7 +340,8 @@ class TestMod:
         ):
             ref = X.astype(object) - A.astype(object) @ B.astype(object)
             Y = X.astype(np.float64)
-            assert _submul(Y, A.astype(np.float64), B.astype(np.float64), p) is Y
+            buf = np.empty(nullspace._SLAB_ROWS * Y.shape[1])
+            assert _submul(Y, A.astype(np.float64), B.astype(np.float64), p, buf) is Y
             assert_signed_residues(Y.ravel().tolist(), ref.ravel().tolist(), p)
 
 
@@ -530,9 +554,9 @@ class TestModularRREF:
         (block,) = _color_blocks(J, [0], 0, 0, (1, 1))
         assert _expand(block.values[0]).dtype == dtype
         mr = ModularRREF(1, p)
-        B = _color_matrix(block, [0], 1, 1, mr)
-        assert B.dtype == np.float64 and B.tolist() == [[1.0]]
-        assert mr.process_block(B) == 1
+        rows = _color_matrix(block, [0], 1, 1, mr)
+        assert block_of(rows, 1).tolist() == [[1.0]]
+        assert mr.process_block(rows) == 1
 
     def test_positions_put_the_free_columns_first(self):
         # free columns in increasing order, then the pivot columns in the
@@ -550,11 +574,29 @@ class TestModularRREF:
         [np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=object), np.zeros((2, 4)), np.zeros((2, 6))[:, ::2]],
         ids=["int64", "object", "too-wide", "strided"],
     )
-    def test_only_c_ordered_float64_blocks_of_its_width_are_taken(self, block):
-        # one input path: every block is built in the engine's order as
-        # C-ordered float64, which it reduces in place
-        with pytest.raises(ValueError, match="blocks are C-ordered float64 with 3 columns"):
-            ModularRREF(3, PRIMES[0]).process_block(block)
+    def test_only_c_ordered_float64_blocks_of_its_width_are_taken(self, block, monkeypatch):
+        # one input path: the engine hands its row source C-ordered float64
+        # slabs of its width, in turn, so whatever array a source reads
+        # from, the engine reduces only such slabs; a source whose rows are
+        # too wide cannot write them
+        monkeypatch.setattr(nullspace, "_SLAB_ROWS", 1)
+        slabs = []
+
+        class Source:
+            def __len__(self):
+                return len(block)
+
+            def write(self, start, out):
+                slabs.append((start, out.dtype, out.shape, out.flags.c_contiguous))
+                out[...] = block[start : start + len(out)]
+
+        mr = ModularRREF(3, PRIMES[0])
+        if block.shape[1] != 3:
+            with pytest.raises(ValueError, match="could not broadcast"):
+                mr.process_block(Source())
+            return
+        assert mr.process_block(Source()) == 0
+        assert slabs == [(0, np.float64, (1, 3), True), (1, np.float64, (1, 3), True)]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
     def test_engine_fixes_the_mmap_threshold(self):
@@ -581,61 +623,147 @@ def exact_rows(J, block, slots, m_degree, l_degree):
     return rows
 
 
+def assert_engines_match(engines, rows, exact):
+    """Each engine equals rref_mod_p / standard_nullspace_mod_p of the
+    integer rows mod its prime, and the rank and the standard basis, mod p,
+    of ``exact``, an ExactEliminator fed the same rows."""
+    for e in engines:
+        p = e.p
+        piv, R = rref_mod_p([[v % p for v in row] for row in rows], p)
+        assert e.rank == len(piv) == exact.rank
+        assert sorted(e._pivcols.tolist()) == piv == sorted(exact.pivots)
+        assert e.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, e.ncols, p)
+        lifted = []
+        for v in exact.nullspace():
+            inv = pow(v[max(v)], -1, p)
+            lifted.append({c: x * inv % p for c, x in v.items() if x * inv % p})
+        assert e.nullspace_mod_p() == lifted
+
+
+def assert_colors_match_the_references(big):
+    """Colors of a sequence with J(n+1) = (1 + t^2n) J(n), which L - 1 - M
+    annihilates, so that the kernel stays nonzero and depends on every
+    coefficient, are built by _color_matrix in each engine's column order
+    and fed in turn; J(1) is random, with a gap that leaves zero rows and,
+    unless big is 0, a coefficient of magnitude big. A second engine at
+    another prime joins after the third color and is re-fed the colors so
+    far, as the kernel search's draw() does. After every color the engines
+    match the references (``assert_engines_match``)."""
+    rng = random.Random(15)
+    first = {0: rng.randint(1, 3), 2 * rng.randint(2, 6): -rng.randint(1, 3), 60: rng.randint(1, 3)}
+    if big:
+        first[2 * rng.randint(0, 30)] = rng.choice((-1, 1)) * big
+    table = {1: TPoly(first)}
+    for n in range(1, 8):
+        table[n + 1] = table[n] + TPoly({2 * n: 1}) * table[n]
+    J = DiscreteSeq("random", lambda n: table.get(n, TPoly.zero()))
+    slots, m_degree, l_degree = [-8, -6, -4, -2, 0, 2], 3, 1
+    ncols = len(slots) * (m_degree + 1) * (l_degree + 1)
+    engines, fed, rows = [ModularRREF(ncols, PRIMES[0])], [], []
+    exact = ExactEliminator(ncols)
+    seen = dict(zero_rows=0, dependent_rows=0, refed=0)
+    for block in _color_blocks(J, slots, m_degree, l_degree, (1, 7)):
+        if len(fed) == 3:
+            engines.append(ModularRREF(ncols, PRIMES[1]))
+            for old in fed:
+                engines[-1].process_block(_color_matrix(old, slots, m_degree + 1, l_degree + 1, engines[-1]))
+                seen["refed"] += 1
+        new = [e.process_block(_color_matrix(block, slots, m_degree + 1, l_degree + 1, e)) for e in engines]
+        fed.append(block)
+        block_rows = exact_rows(J, block, slots, m_degree, l_degree)
+        rows += block_rows
+        for row in block_rows:
+            exact.add_row({c: v for c, v in enumerate(row) if v})
+        seen["zero_rows"] += not all(map(any, block_rows))
+        seen["dependent_rows"] += sum(map(any, block_rows)) > new[0]
+        assert_engines_match(engines, rows, exact)
+    assert len(fed) == 7 and min(seen.values()) >= 1, seen
+    assert 0 < exact.rank < ncols
+
+
 class TestEngineLayout:
     @pytest.mark.parametrize(
         "big", [0, nullspace.FLOAT_INPUT_BOUND, 2**53 + 1, 2**63 + 1], ids=["small", "bound", "2^53+1", "2^63+1"]
     )
     def test_blocks_in_the_engine_order_match_the_references(self, big):
-        # Colors of a sequence with J(n+1) = (1 + t^2n) J(n), which L - 1 - M
-        # annihilates, so that the kernel stays nonzero and depends on every
-        # coefficient, are built by _color_matrix in each engine's column
-        # order and fed in turn; J(1) is random, with a gap that leaves zero
-        # rows and, unless small, a coefficient of magnitude big. A second
-        # engine at another prime joins after the third color and is re-fed
-        # the colors so far, as the kernel search's draw() does. After every
-        # color each engine equals rref_mod_p / standard_nullspace_mod_p of
-        # the exact rows mod its prime, and ExactEliminator's rank and
-        # standard basis, mod p.
-        rng = random.Random(15)
-        first = {0: rng.randint(1, 3), 2 * rng.randint(2, 6): -rng.randint(1, 3), 60: rng.randint(1, 3)}
-        if big:
-            first[2 * rng.randint(0, 30)] = rng.choice((-1, 1)) * big
-        table = {1: TPoly(first)}
-        for n in range(1, 8):
-            table[n + 1] = table[n] + TPoly({2 * n: 1}) * table[n]
-        J = DiscreteSeq("random", lambda n: table.get(n, TPoly.zero()))
-        slots, m_degree, l_degree = [-8, -6, -4, -2, 0, 2], 3, 1
-        ncols = len(slots) * (m_degree + 1) * (l_degree + 1)
-        engines, fed, rows = [ModularRREF(ncols, PRIMES[0])], [], []
+        assert_colors_match_the_references(big)
+
+
+class TestSlabBoundaries:
+    """The engine reads each block ``_SLAB_ROWS`` rows at a time, and
+    back-reduces X as many rows at a time; here slabs of 1, 3 and 8 rows put
+    block and slab boundaries everywhere."""
+
+    @pytest.mark.parametrize("slab_rows", [1, 3, 8])
+    def test_blocks_across_slab_boundaries_match_the_references(self, slab_rows, monkeypatch):
+        # Blocks of one row, of exactly one slab and of one slab plus one row
+        # are fed through ``Rows``. The last row of each longer block, past
+        # its first slab, is a zero row, twice the block's first row, or a
+        # row with a coefficient of 2^52, 2^53 + 1 or 2^63 + 1 (written as
+        # residues, as the block builder writes such a value). The rows span
+        # a rank-24 space of 30 columns, so the rank grows over many blocks.
+        # A second engine at another prime joins after the third block and
+        # is re-fed the blocks so far, as the kernel search's draw() does.
+        # After every block each engine equals rref_mod_p /
+        # standard_nullspace_mod_p of the rows so far mod its prime, and
+        # ExactEliminator's rank and standard basis, mod p
+        # (``assert_engines_match``).
+        monkeypatch.setattr(nullspace, "_SLAB_ROWS", slab_rows)
+        rng = random.Random(16 + slab_rows)
+        ncols, span = 30, 24
+        base = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(span)]
+
+        def combination():
+            coef = [rng.randint(-2, 2) for _ in range(span)]
+            return [sum(c * row[j] for c, row in zip(coef, base)) for j in range(ncols)]
+
+        lasts = ["zero", "double", 2**52, 2**53 + 1, 2**63 + 1]
+        sizes = [1, slab_rows] + [slab_rows + 1] * len(lasts) + [1, slab_rows + 1]
+        blocks = []
+        for size in sizes:
+            block = [combination() for _ in range(size)]
+            if size == slab_rows + 1:
+                last = lasts[len(blocks) % len(lasts)]
+                if last == "zero":
+                    block[-1] = [0] * ncols
+                elif last == "double":
+                    block[-1] = [2 * v for v in block[0]]
+                else:
+                    block[-1] = [last * v + w for v, w in zip(base[rng.randrange(span)], block[-1])]
+            blocks.append(block)
+        engines, rows = [ModularRREF(ncols, PRIMES[0])], []
         exact = ExactEliminator(ncols)
-        seen = dict(zero_rows=0, dependent_rows=0, refed=0)
-        for block in _color_blocks(J, slots, m_degree, l_degree, (1, 7)):
-            if len(fed) == 3:
+        seen = dict(zero_rows=0, dependent_rows=0, refed=0, big=0, new_in_last_slab=0)
+        for i, blk in enumerate(blocks):
+            if i == 3:
                 engines.append(ModularRREF(ncols, PRIMES[1]))
-                for old in fed:
-                    engines[-1].process_block(_color_matrix(old, slots, m_degree + 1, l_degree + 1, engines[-1]))
+                for old in blocks[:3]:
+                    feed(engines[-1], np.array(old, dtype=object))
                     seen["refed"] += 1
-            new = [e.process_block(_color_matrix(block, slots, m_degree + 1, l_degree + 1, e)) for e in engines]
-            fed.append(block)
-            block_rows = exact_rows(J, block, slots, m_degree, l_degree)
-            rows += block_rows
-            for row in block_rows:
+            before = exact.rank
+            new = [feed(e, np.array(blk, dtype=object)) for e in engines]
+            rows += blk
+            for row in blk:
                 exact.add_row({c: v for c, v in enumerate(row) if v})
-            seen["zero_rows"] += not all(map(any, block_rows))
-            seen["dependent_rows"] += sum(map(any, block_rows)) > new[0]
-            for e in engines:
-                p = e.p
-                piv, R = rref_mod_p([[v % p for v in row] for row in rows], p)
-                assert e.rank == len(piv) == exact.rank
-                assert sorted(e._pivcols.tolist()) == piv == sorted(exact.pivots)
-                assert e.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
-                lifted = []
-                for v in exact.nullspace():
-                    inv = pow(v[max(v)], -1, p)
-                    lifted.append({c: x * inv % p for c, x in v.items() if x * inv % p})
-                assert e.nullspace_mod_p() == lifted
-        assert len(fed) == 7 and min(seen.values()) >= 1, seen
+            seen["zero_rows"] += not all(map(any, blk))
+            seen["dependent_rows"] += sum(map(any, blk)) > new[0]
+            seen["big"] += max(abs(v) for row in blk for v in row) >= nullspace.FLOAT_INPUT_BOUND
+            head = ExactEliminator(ncols)
+            for row in rows[: len(rows) - len(blk) + slab_rows]:
+                head.add_row({c: v for c, v in enumerate(row) if v})
+            seen["new_in_last_slab"] += len(blk) > slab_rows and exact.rank > head.rank
+            assert_engines_match(engines, rows, exact)
+            assert new[0] == exact.rank - before
+        assert min(seen.values()) >= 1, seen
         assert 0 < exact.rank < ncols
+
+    @pytest.mark.parametrize("slab_rows", [1, 3, 8])
+    @pytest.mark.parametrize("big", [0, 2**63 + 1], ids=["small", "2^63+1"])
+    def test_colors_across_slab_boundaries_match_the_references(self, slab_rows, big, monkeypatch):
+        # the colors of TestEngineLayout, written by _color_matrix's row
+        # source a slab of 1, 3 or 8 rows at a time
+        monkeypatch.setattr(nullspace, "_SLAB_ROWS", slab_rows)
+        assert_colors_match_the_references(big)
 
 
 #: prints how many mappings malloc makes for one 8 MiB block, after ``{setup}``
