@@ -33,6 +33,7 @@ from .jones import (
     BadParams,
     TorusKnot,
     colored_jones,
+    colored_jones_dense,
     jones_sequence,
     lowest_degree_formula,
 )
@@ -50,6 +51,7 @@ from .operators import (
     verify_recurrence,
     verify_sigma_fixed,
 )
+from .qtorus import _COLOR_CELL_LIMIT
 
 #: last color of every default n-range
 DEFAULT_LAST_N = 20
@@ -160,6 +162,14 @@ def run_check(identity: str, K: TorusKnot, n_range: tuple | None, ops: Callable,
 def cmd_jones(args) -> int:
     K = TorusKnot(args.a, args.b)
     lo, hi = parse_range(args.n)
+    # the largest |n| has the longest value, and its length (field 2 of the
+    # run-mark layout) costs O(n) marks to read: refused before any output
+    top = max(abs(lo), abs(hi))
+    length = colored_jones_dense(K, top)[2] if top else 0
+    if length > _COLOR_CELL_LIMIT:
+        raise BadParams(
+            f"color {top} of {K} spans {length:,} coefficients, above the limit of {_COLOR_CELL_LIMIT:,}"
+        )
     status = 0
     for n in range(lo, hi + 1):
         poly = colored_jones(K, n)

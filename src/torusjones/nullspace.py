@@ -34,7 +34,6 @@ reference that the tests compare the lifted kernels against.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from fractions import Fraction
 
@@ -137,62 +136,16 @@ _SLAB = 1 << 15
 #: Rows per slab of the engine: the rows a row source writes at a time and
 #: the rows of each product. Each matmul against X or the new pivot rows
 #: rereads all of them, so slabs of 64 rows took about 20% more time on
-#: the 8b L-deg 2 query than slabs of 128 or 256; 256 rows raised the
-#: benchmark's certify peak from 76 to 84 MB.
+#: the 8b L-deg 2 query than slabs of 128 or 256. At 256 rows the
+#: benchmark's certify peak read 82.3 and 84.2 MB at seeds 1 and 2 (the
+#: (3,4) query before and after the (2,7) one), against 75.8 and 78.2 MB
+#: at 128.
 _SLAB_ROWS = 128
 #: Row sources fed to ``ModularRREF.process_block`` write integers of
 #: magnitude below this, inside the exact range of ``_mod``; the block
 #: builder writes a value with a larger coefficient as residues mod the
 #: engine's prime.
 FLOAT_INPUT_BOUND = 1 << 52
-#: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD,
-#: and the values that ``_fix_malloc_thresholds`` gives them: 4 MiB and
-#: 16 MiB.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_TRIM_THRESHOLD_BYTES = 4 << 20
-_MMAP_THRESHOLD_BYTES = 16 << 20
-
-
-def _fix_malloc_thresholds() -> bool:
-    """Fix glibc's malloc trim and mmap thresholds; True if both are set.
-    Importing this module calls it, so every run of the package, whatever
-    it ran before, allocates under the same thresholds.
-
-    By default glibc raises the mmap threshold to the size of each larger
-    mmapped block that is freed, up to 32 MiB, and keeps up to twice that
-    threshold of free memory at the top of the heap resident.
-    ``process_block`` frees blocks of a few to a few tens of MB, so which of
-    them stayed resident hung on what the process had freed before, and the
-    peak RSS of the same queries moved by 20 MB with their order, or even
-    with the length of the checkout's path. Fixed thresholds turn that
-    adjustment off: blocks below the mmap threshold are reused from the
-    heap, and larger ones are unmapped when freed. At 32 MiB the stored
-    pivot rows of a 3,393-column engine (up to 23 MB) still came from the
-    heap, and the benchmark's certify peak read 114 or 132 MB with the
-    length of the checkout's path; at 16 MiB they get their own mappings,
-    and it read 105 MB at all six lengths tried, 84 MB once blocks came in
-    the engine's column order and X was updated in place, and 76 MB since
-    colors are streamed into the engine's slabs and X lives in one buffer
-    of its largest size.
-
-    Free memory past the trim threshold at the top of the heap goes back to
-    the system, and at glibc's fixed default of 128 KiB the engine's small
-    temporaries (256 KiB in ``_mod``, a base case's rank-1 product) went
-    back and were faulted in again on nearly every call: 456,000
-    minor faults in the 8b L-deg 2 query, against 146,000 at 4 MiB, where
-    it ran in 6.9 s instead of 8.0 s at the same peak. Without glibc's
-    ``mallopt`` this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    trim = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
-    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1 and trim
-
-
-_fix_malloc_thresholds()
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -435,12 +388,12 @@ class ModularRREF:
         the reduced block (``_reduce_rows``), which is eliminated there. The
         new pivot rows' kept columns are written over the front of its
         buffer, X is back-reduced over the front of its own buffer, and
-        those rows become X's last rows. X's buffer never moves: growing X
-        by realloc copied it when it passed the mmap threshold, with the old
-        and the new X alive at once (13 and 18 MB in the benchmark's (3,4)
-        certify query, where its peak RSS sat). So a step holds X, one
+        those rows become X's last rows. X's buffer never moves, so the old
+        and the new X are never alive at once. So a step holds X, one
         reduced block on the free columns and two slabs, all sized before it
-        starts."""
+        starts: the benchmark's four certify queries peak at 75.8 MB of RSS
+        when their order puts the (3,4) query before the (2,7) one, and at
+        78.2 MB when it puts it after."""
         p, X, r = self.p, self._X, self.rank
         nfree = self._free.size
         if not len(rows) or not nfree:

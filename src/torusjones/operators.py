@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -437,10 +437,10 @@ class KernelResult:
     dimension: int
     unknowns: int
     rank: int
-    basis: list = field(default_factory=list)  # QTElem, primitive integer coefficients
-    method: str = "exact"
-    prime: int | None = None
-    constraint_rows: int = 0
+    basis: list  # QTElem, primitive integer coefficients
+    method: str
+    prime: int | None
+    constraint_rows: int
 
 
 def _vector_to_qtelem(vec: dict, slots: list, m_degree: int, l_degree: int) -> QTElem:

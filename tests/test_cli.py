@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestJonesCommand:
         assert code == 0
         for rec in map(json.loads, out.strip().splitlines()):
             assert rec["lowest_degree"] == rec["degree_formula"]
+
+    def test_oversized_color_is_refused_before_any_work(self, capsys):
+        # the length of J(5000), read off its run marks, is past the
+        # per-color cell limit, so nothing is computed or printed, and a
+        # range is refused by its largest |n| before its first color
+        start = time.perf_counter()
+        code, out, err = run(capsys, "jones", "-a", "3", "-b", "4", "-n", "5000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: color 5000 of T(3,4) spans 74,987,500 coefficients, above the limit of 67,108,864\n"
+        code, out, err = run(capsys, "jones", "-a", "3", "-b", "4", "-n=-5000..3")
+        assert (code, out) == (2, "") and "color 5000 " in err
 
     def test_invalid_knot_exits_2(self, capsys):
         code, _, err = run(capsys, "jones", "-a", "4", "-b", "6", "-n", "1")

@@ -18,7 +18,6 @@ from torusjones.qtorus import DiscreteSeq, QTElem, _expand
 from torusjones.nullspace import (
     _BASE_ROWS,
     _SLAB,
-    _fix_malloc_thresholds,
     PRIMES,
     ExactEliminator,
     ModularRREF,
@@ -598,15 +597,12 @@ class TestModularRREF:
         assert mr.process_block(Source()) == 0
         assert slabs == [(0, np.float64, (1, 3), True), (1, np.float64, (1, 3), True)]
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
-    def test_engine_fixes_the_mmap_threshold(self):
-        # importing the package turns glibc's adaptive thresholds off, which
-        # keeps the peak RSS of a run independent of what the process ran or
-        # freed before it: an 8 MiB block then comes from the heap, not from
-        # a mapping of its own as at glibc's default 128 KiB threshold
-        assert _fix_malloc_thresholds()
-        assert mmapped_blocks_of_8_mib("import torusjones") == 0
-        assert mmapped_blocks_of_8_mib("") == 1
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallinfo")
+    def test_import_leaves_the_mmap_threshold_alone(self):
+        # importing the package changes no process-wide allocator setting:
+        # an 8 MiB block gets a mapping of its own, as at glibc's default
+        # 128 KiB mmap threshold, with or without the import
+        assert mmapped_blocks_of_8_mib("import torusjones") == mmapped_blocks_of_8_mib("") == 1
 
 
 def exact_rows(J, block, slots, m_degree, l_degree):

@@ -29,7 +29,6 @@ UNREACHED = {
     "operators.verify_pq_consistency": "perfbench/tracing.py patches it",
     "operators.matches_up_to_unit": "perfbench/workloads.py checks the certify answers with it",
     "qtorus.DiscreteSeq.__call__": "perfbench/tracing.py patches it; the tests read values as TPolys",
-    "nullspace._fix_malloc_thresholds": "runs at import, before any command",
     "cli._annihilator": "runs at import, building IDENTITY_TABLE",
     "operators.SystemTooLarge.__init__": "error path: a kernel query over the unknown cap",
     "qtorus.OperatorSyntaxError.__init__": "error path: operator text that does not parse",
