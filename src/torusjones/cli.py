@@ -29,11 +29,12 @@ from typing import Callable
 
 from . import classical
 from .jones import (
+    PRINT_LIMIT,
     SUITE_KNOTS,
     BadParams,
     TorusKnot,
+    color_length,
     colored_jones,
-    colored_jones_dense,
     jones_sequence,
     lowest_degree_formula,
 )
@@ -51,7 +52,6 @@ from .operators import (
     verify_recurrence,
     verify_sigma_fixed,
 )
-from .qtorus import _COLOR_CELL_LIMIT
 
 #: last color of every default n-range
 DEFAULT_LAST_N = 20
@@ -162,14 +162,8 @@ def run_check(identity: str, K: TorusKnot, n_range: tuple | None, ops: Callable,
 def cmd_jones(args) -> int:
     K = TorusKnot(args.a, args.b)
     lo, hi = parse_range(args.n)
-    # the largest |n| has the longest value, and its length (field 2 of the
-    # run-mark layout) costs O(n) marks to read: refused before any output
-    top = max(abs(lo), abs(hi))
-    length = colored_jones_dense(K, top)[2] if top else 0
-    if length > _COLOR_CELL_LIMIT:
-        raise BadParams(
-            f"color {top} of {K} spans {length:,} coefficients, above the limit of {_COLOR_CELL_LIMIT:,}"
-        )
+    # the largest |n| has the longest value: refused before any output
+    color_length(K, max(abs(lo), abs(hi)), PRINT_LIMIT)
     status = 0
     for n in range(lo, hi + 1):
         poly = colored_jones(K, n)

@@ -17,9 +17,15 @@ the summand of m is a run of |am+1| equal coefficients, sign(am+1), at
 every fourth exponent, and every run lies on one residue class mod 4.  This
 module computes the n runs on that stride-4 lattice, and
 ``qtorus._run_marks`` writes their marks, so a value costs O(n log n) and
-the coefficient array is never made.  No cancellation reaches either end of
-the sum's span, so the value needs no trim.  A sequence fills J(-n) by
-negating the marks of its own cached J(n).
+the coefficient array is never made.  A sequence fills J(-n) by negating
+the marks of its own cached J(n).
+
+No cancellation reaches either end of the span of J(n), n >= 1, so the
+value needs no trim: its lowest point lies on the run of m = 0 or m = -1
+alone, its two top points (adjacent for n >= 2) on that of m = n - 1.  So
+its lowest t-degree is -ab(n^2-1), plus (a-2)(b-2) for even n, and its
+highest ab(n-1)^2 + 2(a+b)(n-1) - ab(n^2-1); ``color_length`` reads the
+length off these two closed forms, before any run is made.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ import math
 from dataclasses import dataclass
 
 from .laurent import TPoly, lambda_poly, quantum_integer
-from .qtorus import BadParams, DiscreteSeq, _negated, _run_marks
+from .qtorus import _COLOR_CELL_LIMIT, BadParams, DiscreteSeq, _negated, _run_marks
+
+#: the longest color the ``jones`` command prints: the 512 MiB of
+#: ``_COLOR_CELL_LIMIT`` int64 cells, at 128 bytes a term of TPoly and text
+PRINT_LIMIT = _COLOR_CELL_LIMIT * 8 // 128
 
 
 @dataclass(frozen=True)
@@ -84,17 +94,21 @@ def colored_jones(K: TorusKnot, n: int) -> TPoly:
 
 
 def lowest_degree_formula(K: TorusKnot, n: int) -> int:
-    """Closed form for the lowest t-degree of J(n), n >= 1.
-
-    -ab n^2 + ab for odd n, with an extra (a-2)(b-2) for even n.
-    """
+    """The lowest t-degree of J(n), n >= 1, from its closed form."""
     if n < 1:
         raise ValueError("the closed form applies to colors n >= 1")
-    a, b = K.a, K.b
-    base = -a * b * n * n + a * b
-    if n % 2 == 0:
-        base += (a - 2) * (b - 2)
-    return base
+    return K.a * K.b * (1 - n * n) + (K.a - 2) * (K.b - 2) * (1 - n % 2)
+
+
+def color_length(K: TorusKnot, n: int, limit: int = _COLOR_CELL_LIMIT) -> int:
+    """The length of J(n) and of J(-n), from the closed forms of their span;
+    0 for n = 0. A length above ``limit`` raises BadParams."""
+    n = abs(n)
+    top = K.a * K.b * ((n - 1) ** 2 - n * n + 1) + 2 * (K.a + K.b) * (n - 1)
+    length = (top - lowest_degree_formula(K, n)) // 4 + 1 if n else 0
+    if length > limit:
+        raise BadParams(f"color {n} of {K} spans {length:,} coefficients, above the limit of {limit:,}")
+    return length
 
 
 def g_seq(K: TorusKnot, n: int) -> TPoly:
@@ -115,11 +129,6 @@ def h_seq(K: TorusKnot, n: int) -> TPoly:
     return lambda_poly(c * (n + 1)).shift(2 * a * b * n) - lambda_poly(c * (n - 1)).shift(-2 * a * b * n)
 
 
-#: colors with ab*n^2 at or past this are refused: their exponents would
-#: leave the int64 arithmetic that reads the run-mark layout
-_EXPONENT_LIMIT = 1 << 62
-
-
 def colored_jones_dense(K: TorusKnot, n: int):
     """J(n) in the run-mark layout, as ``qtorus._dense(colored_jones(K, n))``
     gives it, written from the runs of the sum alone; None for n = 0."""
@@ -127,9 +136,8 @@ def colored_jones_dense(K: TorusKnot, n: int):
         return None
     if n < 0:
         return _negated(colored_jones_dense(K, -n))
+    color_length(K, n)
     a, b = K.a, K.b
-    if a * b * n * n >= _EXPONENT_LIMIT:
-        raise BadParams(f"color {n} of {K} has t-exponents past 2^62")
     # the summand of m = 2j, [am+1] times a power of t, is the run of its
     # |am+1| coefficients from t^first on: (first, size, sign)
     runs = []
@@ -137,10 +145,7 @@ def colored_jones_dense(K: TorusKnot, n: int):
         k = a * m + 1
         runs.append((a * b * m * m + 2 * b * m - 2 * (abs(k) - 1), abs(k), 1 if k > 0 else -1))
     low = min(first for first, _size, _sign in runs)
-    # Nothing cancels at either end, so the value needs no trim: the lowest
-    # point lies on one run only (m = 0 or m = -1), and the two top points of
-    # the run of m = n - 1 lie above every other run. Those two are adjacent
-    # for n >= 2, so the stride is 4, and that last run ends the value.
+    # nothing cancels at either end (see above): no trim, and the stride is 4
     runs = [((first - low) // 4, (first - low) // 4 + size, sign) for first, size, sign in runs]
     return _run_marks(low - a * b * (n * n - 1), 4 if n > 1 else 0, runs)
 

@@ -26,7 +26,7 @@ from .nullspace import (
     prime_supply,
     reconstruct_vector,
 )
-from .qtorus import DiscreteSeq, QTElem, _expand, parse
+from .qtorus import _COLOR_CELL_LIMIT, DiscreteSeq, QTElem, _expand, parse
 
 
 class WrongCase(ValueError):
@@ -476,6 +476,7 @@ class _ColorBlock(NamedTuple):
     expand: Callable
     beta_min: int
     width: int
+    cells: int  # the size of the strip ``_color_matrix`` reads the rows from
 
 
 def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, n_range) -> list:
@@ -504,7 +505,10 @@ def _color_blocks(jser: DiscreteSeq, slots: list, m_degree: int, l_degree: int, 
         spread = 2 * m_degree * n  # the M-shift t^(2kn) for k = m_degree
         beta_min = slots[0] + lo + min(0, spread)
         width = (slots[-1] + hi + max(0, spread) - beta_min) // 2 + 1
-        blocks.append(_ColorBlock(n, values, expand, beta_min, width))
+        cells = width + sum((v[1] // 2 or 1) * (v[2] - 1) + 1 + width for v in present)
+        if cells > _COLOR_CELL_LIMIT:
+            raise BadParams(f"the kernel rows of color {n} need {cells:,} strip cells, above the limit of {_COLOR_CELL_LIMIT:,}")
+        blocks.append(_ColorBlock(n, values, expand, beta_min, width, cells))
     return blocks
 
 
@@ -546,7 +550,7 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, eng
     So row i is one gather from the strip at the base offsets plus i. The
     strip and the base are built once per color and engine; the color's
     rows x columns block is never formed."""
-    pieces = [np.zeros(block.width)]
+    strip = np.zeros(block.cells)
     start, lows = np.zeros(lwidth, dtype=np.int64), np.zeros(lwidth, dtype=np.int64)
     size = block.width
     for j, v in enumerate(block.values):
@@ -556,12 +560,9 @@ def _color_matrix(block: _ColorBlock, slots: list, mwidth: int, lwidth: int, eng
         if v[3] >= FLOAT_INPUT_BOUND:
             arr = arr % engine.p
         gap = v[1] // 2 or 1
-        coefficients = np.zeros(gap * (v[2] - 1) + 1)
-        coefficients[::gap] = arr
+        strip[size : size + gap * v[2] : gap] = arr
         start[j], lows[j] = size, v[0]
-        pieces += [coefficients, np.zeros(block.width)]
-        size += coefficients.size + block.width
-    strip = np.concatenate(pieces)
+        size += gap * (v[2] - 1) + 1 + block.width
     # off = (alpha + 2kn + lo_j - beta_min) / 2 for column (alpha, k, j)
     alpha = (np.asarray(slots) - block.beta_min)[:, None, None]
     off = (alpha + 2 * block.n * np.arange(mwidth)[:, None] + lows) // 2

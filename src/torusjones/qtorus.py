@@ -30,7 +30,7 @@ reaches 2^62. The marks are the value, and no coefficient array is kept.
 of runs of equal coefficients on its lattice, and never makes the
 coefficient array. A colored Jones value is about n runs
 (``jones.colored_jones_dense``), so it has about 2n marks but about
-ab*n^2/2 coefficients; a sequence whose rule gives ``TPoly`` values (h,
+ab*n^2/4 coefficients; a sequence whose rule gives ``TPoly`` values (h,
 Q applied to J, test tables) goes through ``_dense``, which makes each term
 a run of one point. Two readers need the coefficients and expand the marks
 with ``_expand``: ``DiscreteSeq.__call__``, which builds the TPoly, and the
@@ -221,8 +221,8 @@ _INT64_SAFE = 1 << 62
 #: color or contribution needs more
 _CHUNK_LIMIT = 1 << 12
 
-#: ``QTElem.apply`` refuses a color whose accumulator cells would be more
-#: than this (512 MiB of int64), before it allocates them
+#: the most cells (512 MiB of int64) of a J value (``jones.color_length``),
+#: an action's accumulator or a kernel color's strip, refused before made
 _COLOR_CELL_LIMIT = 1 << 26
 
 #: above every exponent: the identity of the masked minima in ``_act``

@@ -491,20 +491,19 @@ def test_one_nonzero_color_in_a_chunk(where, monkeypatch, residue_sums, jcache):
 
 
 def test_an_oversized_color_is_refused_before_allocating():
-    """F at colors up to 10^5 of (3,4) needs about 3*10^10 accumulator cells
-    (240 GB of int64) for the last one: apply raises BadParams, naming it,
-    before it makes any accumulator or the mark table of the six values it
-    reads (about 19 MB)."""
-    K = TorusKnot(3, 4)
-    op = build_named("F", K).element
-    J = jones_sequence(K)
-    n = 10**5
-    for m in range(n - 2, n + 4):  # the values F reads, filled first
-        J.dense(m)
+    """A value with the terms t^0, t^1 and t^(2^27) has a handful of run
+    marks but 2^27 + 1 lattice points, so F on it needs more than 2^26
+    accumulator cells (512 MiB of int64) at every color: apply raises
+    BadParams, naming the color that needs the most, before it makes any
+    accumulator or mark table."""
+    op = build_named("F", TorusKnot(3, 4)).element
+    f = DiscreteSeq("wide", lambda n: TPoly({0: 1, 1: 1, 2**27: 1}))
+    for m in range(-10, 14):  # every value F reads, filled first
+        f.dense(m)
     tracemalloc.start()
     try:
-        with pytest.raises(BadParams, match=f"at color {n} needs [0-9,]+ accumulator cells"):
-            op.apply(J, range(n - 2, n + 1))
+        with pytest.raises(BadParams, match="the action at color 3 needs [0-9,]+ accumulator cells"):
+            op.apply(f, range(1, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

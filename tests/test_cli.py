@@ -61,16 +61,26 @@ class TestJonesCommand:
             assert rec["lowest_degree"] == rec["degree_formula"]
 
     def test_oversized_color_is_refused_before_any_work(self, capsys):
-        # the length of J(5000), read off its run marks, is past the
-        # per-color cell limit, so nothing is computed or printed, and a
-        # range is refused by its largest |n| before its first color
+        # the length of J(5000), from the closed forms of its span, is past
+        # the command's limit of 2^22 printed terms, so nothing is computed
+        # or printed, and a range is refused by its largest |n| before its
+        # first color
         start = time.perf_counter()
         code, out, err = run(capsys, "jones", "-a", "3", "-b", "4", "-n", "5000")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == "error: color 5000 of T(3,4) spans 74,987,500 coefficients, above the limit of 67,108,864\n"
+        assert err == "error: color 5000 of T(3,4) spans 74,987,500 coefficients, above the limit of 4,194,304\n"
         code, out, err = run(capsys, "jones", "-a", "3", "-b", "4", "-n=-5000..3")
         assert (code, out) == (2, "") and "color 5000 " in err
+
+    def test_a_color_the_fill_admits_is_refused_for_printing(self, capsys):
+        # J(2000) spans 11,995,000 coefficients: within the fill's 2^26
+        # cells, but its TPoly and text would take about 1.4 GB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "jones", "-a", "3", "-b", "4", "-n", "2000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: color 2000 of T(3,4) spans 11,995,000 coefficients, above the limit of 4,194,304\n"
 
     def test_invalid_knot_exits_2(self, capsys):
         code, _, err = run(capsys, "jones", "-a", "4", "-b", "6", "-n", "1")
@@ -202,10 +212,13 @@ class TestExitCodes:
         assert "Traceback" in err and "ZeroPolynomial: the zero polynomial has no lowest degree" in err
 
     def test_oversized_color_is_configuration_error(self, capsys):
+        # the fill refuses J(100000) from its closed-form length, before F
+        # reads any value
+        start = time.perf_counter()
         code, out, err = run(capsys, "verify", "F", "-a", "3", "-b", "4", "--n=100000..100000")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: the action at color 100000 needs") and "Traceback" not in err
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: color 100000 of T(3,4) spans 29,999,750,000 coefficients, above the limit of 67,108,864\n"
 
     def test_large_color_on_a_coarse_lattice_passes(self, capsys):
         # h(n) has four terms however large n is, so lemmaP stays small
@@ -296,6 +309,24 @@ class TestKernelCommand:
         )
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            # J(4000) fills, but the color's strip is about 2.3 GB of float64
+            ("4000..4000", "error: the kernel rows of color 4000 need 287,939,997 strip cells, above the limit of 67,108,864\n"),
+            ("20000..20000", "error: color 20000 of T(3,4) spans 1,199,950,000 coefficients, above the limit of 67,108,864\n"),
+        ],
+        ids=["strip", "fill"],
+    )
+    def test_oversized_color_exits_2_before_its_rows(self, capsys, colors, message):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "kernel", "-a", "3", "-b", "4", "--L-deg", "0", "--M-deg", "0",
+            "--t-window", "0..0", "--n-range", colors,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", message)
 
     def test_underdetermined_modular_exits_2_after_one_prime(self, capsys, monkeypatch):
         built = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from torusjones.jones import (
     SUITE_KNOTS,
     BadParams,
     TorusKnot,
+    color_length,
     colored_jones,
     colored_jones_dense,
     g_seq,
@@ -141,10 +143,43 @@ class TestDenseFill:
         assert marks.dtype.name == "int64" and marks.tolist() == [1, -1, 1, 1, -1, -1]
         assert _expand(value).tolist() == [1, 0, 1, 2, 2, 1]
 
-    def test_colors_past_the_int64_exponents_are_refused(self):
-        for n in (2**30, -(2**30)):
-            with pytest.raises(BadParams, match="past 2\\^62"):
-                colored_jones_dense(K23, n)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 39)
+        .flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40)))
+        .filter(lambda ab: math.gcd(*ab) == 1),
+        st.integers(1, 300),
+        st.sampled_from([1, -1]),
+    )
+    def test_span_closed_forms_match_the_fill(self, ab, n, sign):
+        """The closed forms give the lowest exponent (field 0) and the
+        length (field 2) that the fill computes from its runs, for J(n) and
+        J(-n)."""
+        K = TorusKnot(*ab)
+        value = colored_jones_dense(K, sign * n)
+        assert value[0] == lowest_degree_formula(K, n)
+        assert value[1] == (4 if n > 1 else 0)
+        assert value[2] == color_length(K, sign * n)
+
+    def test_colors_past_the_cell_limit_are_refused(self):
+        """J(4730) of (3,4) spans 67,106,875 coefficients, within the limit
+        of 2^26, and fills; J(4731) spans 67,135,256 and is refused, as are
+        J(-4731) and J(10^8), from the closed forms alone: the refusal at
+        10^8 allocates next to nothing."""
+        assert color_length(K34, 0) == 0
+        assert colored_jones_dense(K34, 4730)[2] == color_length(K34, 4730) == 67_106_875
+        message = "color {} of T\\(3,4\\) spans {} coefficients, above the limit of 67,108,864"
+        for n, length in ((4731, "67,135,256"), (-4731, "67,135,256"), (10**8, "[0-9,]+")):
+            with pytest.raises(BadParams, match=message.format(abs(n), length)):
+                colored_jones_dense(K34, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParams):
+                colored_jones_dense(K34, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestLowestDegree:
