@@ -11,20 +11,29 @@ inside that range, so the arithmetic is exact in float64; ``ModularRREF``
 refuses a wider engine. ``_submul`` fuses X - A @ B with its reduction.
 The pivot rows are stored as [I | X]: only X, their entries on the free
 columns, is kept. X is rank x (ncols - rank), at most ncols^2 / 4 entries,
-and every matmul is as wide as the free columns.
+and every matmul is as wide as the free columns. X is float32: every entry
+is a signed residue, an integer of magnitude below h <= 2^24, which float32
+holds exactly (``ModularRREF`` refuses a prime with a larger h). It meets
+BLAS only as float64 panels of its rows, widened in the engine's slab
+buffers for the pivot columns that a slab uses (``_reduce_rows``).
 The engine owns the column order and the buffers of its input. A color
 comes as a row source, which writes its rows with the free columns first,
 in increasing order, and the pivot columns after them in discovery order
 (``ModularRREF.positions``), ``_SLAB_ROWS`` rows at a time into a slab
 buffer of the engine; the free and the pivot part of a slab are two views
-of it. Each slab is reduced against X with one product into the second
-slab buffer, and only its nonzero rows' free parts are kept, in the
-reduced block that is eliminated. X is back-reduced in place through the
-same two slabs, at the front of a buffer sized for its largest shape. So a
-step holds X, one reduced block on the free columns and two slabs, all
-sized before it starts: arithmetic over a word-size prime field on
-floating-point BLAS, one slab at a time with delayed reduction, as in
-FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008).
+of it. Each slab is reduced against X through the two slab buffers, and
+only its nonzero rows' free parts are kept, in the reduced block that is
+eliminated. X is back-reduced in place through the same two slabs, at the
+front of a buffer sized for its largest shape. So a step of an N-column
+engine on a color of `rows` rows, with `free` free columns, holds X, one
+reduced block and two slabs, all sized before it starts: 4 floor(N/2)
+ceil(N/2) + 8 rows free + 2 * 8 * 128 N bytes. The benchmark's certify
+queries peak at 64.2-66.4 MB of RSS, and the two 8b queries, each in a
+fresh process, at 131 and 195 MB. This is arithmetic over a word-size
+prime field on floating-point BLAS, one slab at a time with delayed
+reduction, with small-prime residues stored in float32 and widened to
+float64 for BLAS, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS
+2008).
 Full column rank mod p certifies rational kernel dimension 0 outright.
 Mod-p kernel vectors are only candidates, which callers lift over the
 product of the primes that ``combine`` keeps (``reconstruct_vector``) and
@@ -139,13 +148,17 @@ _SLAB = 1 << 15
 #: the 8b L-deg 2 query than slabs of 128 or 256. At 256 rows the
 #: benchmark's certify peak read 82.3 and 84.2 MB at seeds 1 and 2 (the
 #: (3,4) query before and after the (2,7) one), against 75.8 and 78.2 MB
-#: at 128.
+#: at 128, both with X in float64.
 _SLAB_ROWS = 128
 #: Row sources fed to ``ModularRREF.process_block`` write integers of
 #: magnitude below this, inside the exact range of ``_mod``; the block
 #: builder writes a value with a larger coefficient as residues mod the
 #: engine's prime.
 FLOAT_INPUT_BOUND = 1 << 52
+#: float32 holds every integer of magnitude up to this, so the stored pivot
+#: rows X, signed residues of magnitude below p // 2 + 4, are exact in it
+#: while p // 2 + 4 <= this.
+_FLOAT32_EXACT = 1 << 24
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -162,44 +175,56 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     |q p| <= |x| + |y| < 2^53 - p/2 + 3 <= 2^53, so q p is exact in float64;
     so is y, an integer of magnitude below 2^53. Past 2^53 - p that can fail:
     at x = 2^53 - 1 and p = 524269 the nearest multiple of p is above 2^53
-    and odd, and q p rounds. These are four passes of plain arithmetic, over
-    slabs that stay in cache; float64 ``%`` is several times slower.
+    and odd, and q p rounds. These are four passes of plain arithmetic
+    (``_reduce``), over slabs that stay in cache; float64 ``%`` is several
+    times slower.
     """
-    r = 1.0 / p
     rows = max(1, _SLAB // max(1, x[:1].size))
     q = np.empty(x[:rows].shape)
     for s in range(0, x.shape[0], rows):
         v = x[s : s + rows]
-        t = q[: v.shape[0]]
-        np.multiply(v, r, out=t)
-        np.rint(t, out=t)
-        t *= p
-        v -= t
+        _reduce(v, p, q[: v.shape[0]])
     return x
 
 
-def _subtract_product(X: np.ndarray, A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """X -= A @ B in place, ``_SLAB_ROWS`` rows of the product at a time in
-    the flat buffer buf, of at least ``_SLAB_ROWS`` * X.shape[1] entries;
-    returns X."""
-    width = X.shape[1]
-    for s in range(0, X.shape[0], _SLAB_ROWS):
-        x = X[s : s + _SLAB_ROWS]
-        prod = buf[: x.shape[0] * width].reshape(x.shape[0], width)
-        x -= np.matmul(A[s : s + _SLAB_ROWS], B, out=prod)
-    return X
+def _reduce(x: np.ndarray, p: int, q: np.ndarray) -> None:
+    """``_mod``'s arithmetic on all of x at once, in place: x -= rint(x fl(1/p)) p,
+    with the quotient formed in q, a float64 array of x's shape."""
+    np.multiply(x, 1.0 / p, out=q)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
 
 
 def _submul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     """X = X - A @ B reduced to signed residues (``_mod``) in place, exactly,
     for X, A and B with entries of magnitude below h = p // 2 + 4 and an
     inner dimension k with h + k h^2 <= 2^53 - p; returns X. The product is
-    formed in buf (``_subtract_product``). Every partial sum of the product
+    formed ``_SLAB_ROWS`` rows at a time in the flat buffer buf, of at least
+    ``_SLAB_ROWS`` * X.shape[1] entries. Every partial sum of the product
     then is an integer of magnitude below k h^2, exact in float64 in any
     order of summation, and X - A @ B is in the range of ``_mod``. Inside
     ``ModularRREF`` k is at most its column count, which its construction
     checks against ``_lazy_bound``."""
-    return _mod(_subtract_product(X, A, B, buf), p)
+    width = X.shape[1]
+    for s in range(0, X.shape[0], _SLAB_ROWS):
+        x = X[s : s + _SLAB_ROWS]
+        x -= np.matmul(A[s : s + _SLAB_ROWS], B, out=buf[: x.shape[0] * width].reshape(x.shape[0], width))
+    return _mod(X, p)
+
+
+def _eliminate(X: np.ndarray, cols: np.ndarray, R: np.ndarray, p: int, slab: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """X -= C @ R in place, with C the columns cols of X reduced (``_mod``),
+    ``_SLAB_ROWS`` rows at a time: a slab's C is gathered into the flat
+    buffer slab and its product with R formed in buf, so that no copy of
+    all of X's columns cols is made. X is a C-ordered block; returns X."""
+    for s in range(0, X.shape[0], _SLAB_ROWS):
+        x = X[s : s + _SLAB_ROWS]
+        # mode="clip" writes straight to out; the default mode buffers a copy
+        C = np.take(x, cols, axis=1, out=slab[: x.shape[0] * cols.size].reshape(x.shape[0], cols.size), mode="clip")
+        if np.any(_mod(C, p)):
+            x -= np.matmul(C, R, out=buf[: x.size].reshape(x.shape))
+    return X
 
 
 def _lazy_bound(ncols: int, p: int) -> int:
@@ -210,10 +235,10 @@ def _lazy_bound(ncols: int, p: int) -> int:
     return h + (ncols + _BASE_ROWS) * h * h
 
 
-def _rref_dense(B: np.ndarray, p: int, buf: np.ndarray) -> tuple:
+def _rref_dense(B: np.ndarray, p: int, slab: np.ndarray, buf: np.ndarray) -> tuple:
     """In-place RREF of a dense block mod p, with entries of magnitude below
-    h = p // 2 + 4 on entry; its products are formed in the flat buffer buf
-    (``_subtract_product``).
+    h = p // 2 + 4 on entry; the pivot columns of an update are gathered in
+    the flat buffer slab and its products formed in buf (``_eliminate``).
 
     Returns (R, cols): R, the first len(cols) rows of B, has value 1 at
     column cols[i] of row i and 0 at every other cols[j], and its entries
@@ -234,22 +259,26 @@ def _rref_dense(B: np.ndarray, p: int, buf: np.ndarray) -> tuple:
     """
     m = B.shape[0]
     if m <= _BASE_ROWS:
+        q = np.empty(max(B.shape))
+        w = B.shape[1]
         keep = []
         cols = []
         for i in range(m):
-            r = _mod(B[i], p)
-            nz = np.flatnonzero(r)
-            if nz.size == 0:
+            r = B[i]
+            _reduce(r, p, q[:w])
+            nz = r.nonzero()[0]
+            if not nz.size:
                 continue
             c = int(nz[0])
             inv = pow(int(r[c]), p - 2, p)
             if inv != 1:
                 r *= inv
-                _mod(r, p)
-            col = _mod(B[:, c].copy(), p)
+                _reduce(r, p, q[:w])
+            col = B[:, c].copy()
+            _reduce(col, p, q[:m])
             col[i] = 0.0
-            if np.any(col):
-                B -= col[:, None] * r
+            if col.any():
+                B -= np.multiply.outer(col, r)
             keep.append(i)
             cols.append(c)
         k = len(keep)
@@ -257,20 +286,20 @@ def _rref_dense(B: np.ndarray, p: int, buf: np.ndarray) -> tuple:
             B[:k] = B[keep]
         return _mod(B[:k], p), np.array(cols, dtype=np.int64)
     half = m // 2
-    R1, c1 = _rref_dense(B[:half], p, buf)
+    R1, c1 = _rref_dense(B[:half], p, slab, buf)
     B2 = B[half:]
     if c1.size:
-        C = _mod(B2[:, c1], p)
-        if np.any(C):
-            _subtract_product(B2, C, R1, buf)
-    R2, c2 = _rref_dense(B2, p, buf)
+        _eliminate(B2, c1, R1, p, slab, buf)
+    R2, c2 = _rref_dense(B2, p, slab, buf)
     if c2.size and c1.size:
-        C = R1[:, c2]
-        if np.any(C):
-            _submul(R1, C, R2, p, buf)
+        _mod(_eliminate(R1, c2, R2, p, slab, buf), p)
     k1, k2 = len(c1), len(c2)
-    if k1 < half:
-        B[k1 : k1 + k2] = R2
+    # R2 moves up behind R1 in pieces no longer than the gap, so that no
+    # piece overlaps its target: numpy would copy an overlapping one first
+    gap = half - k1
+    if gap:
+        for s in range(0, k2, gap):
+            B[k1 + s : k1 + min(s + gap, k2)] = R2[s : s + gap]
     return B[: k1 + k2], np.concatenate([c1, c2])
 
 
@@ -278,8 +307,19 @@ def _reduce_rows(rows, X: np.ndarray, p: int, slab: np.ndarray, buf: np.ndarray)
     """The nonzero rows of a row source's free-column part after the
     reduction against the pivot rows [I | X], reduced (``_mod``), as the
     front of one C-ordered len(rows) x X.shape[1] buffer: the reduced block.
+
     The source writes ``_SLAB_ROWS`` rows at a time into the flat buffer
-    slab, and each slab's pivot-column part times X is formed in buf."""
+    slab. Each slab's free part is copied to its place P in the reduced
+    block, and of its pivot-column part only the columns that are nonzero
+    in it, C, are gathered to the front of buf. X, float32, meets BLAS only
+    through float64 panels of its rows for those columns: a panel's rows are
+    gathered as float32 into buf behind C and widened over the front of
+    slab, and their product with C's columns is formed in buf behind C and
+    subtracted from P. A panel has as many rows as fit, at least
+    min(len(C's columns), ``_SLAB_ROWS``), since buf holds C, the product
+    and the float32 rows in turn. The slab's rows then end where the next
+    slab's start: those that reduced to zero are dropped by moving the later
+    ones up, one row at a time, so that no copy of them is made."""
     m, (rank, nfree) = len(rows), X.shape
     ncols = rank + nfree
     reduced = np.empty((m, nfree))
@@ -289,17 +329,27 @@ def _reduce_rows(rows, X: np.ndarray, p: int, slab: np.ndarray, buf: np.ndarray)
         S = slab[: n * ncols].reshape(n, ncols)
         rows.write(s, S)
         _mod(S, p)
-        F, C = S[:, :nfree], S[:, nfree:]
-        # F - C @ X goes to buf, since np.take copies a strided input
-        P = buf[: n * nfree].reshape(n, nfree)
-        if np.any(C):
-            _mod(np.subtract(F, np.matmul(C, X, out=P), out=P), p)
-        else:
-            P[...] = F
-        nonzero = np.flatnonzero(np.any(P, axis=1))
-        # mode="clip" writes straight to out; the default mode buffers a copy
-        np.take(P, nonzero, axis=0, out=reduced[k : k + nonzero.size], mode="clip")
-        k += nonzero.size
+        P = reduced[k : k + n]
+        P[...] = S[:, :nfree]
+        act = np.flatnonzero(S[:, nfree:].any(axis=0))
+        if act.size:
+            # np.take copies a strided input, so C is gathered from all of S
+            C = np.take(S, act + nfree, axis=1, out=buf[: n * act.size].reshape(n, act.size), mode="clip")
+            rest = buf[C.size :]
+            depth = min(slab.size, 2 * rest.size) // nfree
+            for c in range(0, act.size, depth):
+                idx = act[c : c + depth]
+                narrow = rest.view(np.float32)[: idx.size * nfree].reshape(idx.size, nfree)
+                np.take(X, idx, axis=0, out=narrow, mode="clip")
+                panel = slab[: narrow.size].reshape(narrow.shape)
+                panel[...] = narrow
+                P -= np.matmul(C[:, c : c + depth], panel, out=rest[: P.size].reshape(P.shape))
+            _mod(P, p)
+        nonzero = np.flatnonzero(P.any(axis=1)).tolist()
+        for d, i in enumerate(nonzero):
+            if d < i:
+                P[d] = P[i]
+        k += len(nonzero)
     return reduced[:k]
 
 
@@ -309,21 +359,24 @@ def _keep_columns(
     """Write A[:, kept] - A[:, cols] @ R, reduced as by ``_submul``, over the
     front of A's buffer as a C-ordered matrix of A's rows and len(kept)
     columns, and return that matrix; with no cols (and R None), A[:, kept].
-    ``_SLAB_ROWS`` rows of A at a time are gathered into the flat buffer
-    slab, their kept columns first, and their product with R is formed in
-    buf. A slab's rows are read before any of them is written, and the
-    rows written end where the first unread row starts."""
+    ``_SLAB_ROWS`` rows of A at a time are copied into the flat float64
+    buffer slab, whatever A's dtype, and gathered from there into buf,
+    their kept columns first; their product with R is formed in slab. A
+    slab's rows are read before any of them is written, and the rows
+    written end where the first unread row starts."""
     flat = A.reshape(-1)
     width = kept.size
     order = np.concatenate([kept, cols])
     for s in range(0, A.shape[0], _SLAB_ROWS):
         blk = A[s : s + _SLAB_ROWS]
         n = blk.shape[0]
+        wide = slab[: blk.size].reshape(blk.shape)
+        wide[...] = blk
         # mode="clip" writes straight to out; the default mode buffers a copy
-        S = np.take(blk, order, axis=1, out=slab[: n * order.size].reshape(n, order.size), mode="clip")
+        S = np.take(wide, order, axis=1, out=buf[: n * order.size].reshape(n, order.size), mode="clip")
         part, C = S[:, :width], S[:, width:]
         if np.any(C):
-            _submul(part, C, R, p, buf)
+            _submul(part, C, R, p, slab)
         flat[s * width : (s + n) * width].reshape(n, width)[...] = part
     return flat[: A.shape[0] * width].reshape(A.shape[0], width)
 
@@ -333,32 +386,38 @@ class ModularRREF:
 
     The pivot columns of the pivot rows form the identity, so only the rest
     is stored: the pivot rows are [I | X] up to a column permutation, with
-    X the rank x (ncols - rank) float64 matrix of the pivot rows restricted
-    to the free columns. ``_pivcols`` holds the pivot column of each row of X
-    in discovery order and ``_free`` the free columns in increasing order,
+    X the rank x (ncols - rank) float32 matrix of the pivot rows restricted
+    to the free columns. Its entries are signed residues of magnitude below
+    h = p // 2 + 4 <= 2^24, so float32 holds them exactly; arithmetic on
+    them runs in float64. ``_pivcols`` holds the pivot column of each row of
+    X in discovery order and ``_free`` the free columns in increasing order,
     one per column of X. X grows by rows and shrinks by columns as colors
     arrive, and rank * (ncols - rank) <= ncols^2 / 4 bounds it: about
-    200 MB at the 10,000-column solved class of a query at
+    100 MB at the 10,000-column solved class of a query at
     ``MAX_KERNEL_UNKNOWNS``. It lives at the front of one buffer of that
-    bound, made at the first block with the two slab buffers of
+    bound, made at the first block with the two float64 slab buffers of
     ``_SLAB_ROWS`` x ncols; its pages are faulted in as X first reaches
     them. Rows come in the column order of ``positions``: the free columns,
     then the pivot columns in the order of the rows of X. A step holds X's
     buffer, one reduced block (the color's rows x the free columns) and
-    the two slabs, so its memory follows from ncols and the color's row
-    count before it starts.
+    the two slabs, 4 floor(ncols/2) ceil(ncols/2) + 8 rows free + 2 * 8 *
+    ``_SLAB_ROWS`` ncols bytes, so its memory follows from ncols and the
+    color's row count before it starts.
 
     The construction refuses an engine whose lazy reduction bound
     (``_lazy_bound``) could leave the exact range of ``_mod``: about
-    131,000 columns for p below 2^19.
+    131,000 columns for p below 2^19; and a prime whose residues could
+    leave the exact range of float32, any p with p // 2 + 4 > 2^24.
     """
 
     def __init__(self, ncols: int, p: int):
+        if p // 2 + 4 > _FLOAT32_EXACT:
+            raise ValueError(f"residues mod {p} are past the exact float32 range of the stored pivot rows")
         if _lazy_bound(ncols, p) > (1 << 53) - p:
             raise ValueError(f"{ncols} columns are past the exact float64 range of elimination mod {p}")
         self.p = p
         self.ncols = ncols
-        self._X = np.zeros((0, ncols))
+        self._X = np.zeros((0, ncols), dtype=np.float32)
         self._pivcols = np.zeros(0, dtype=np.int64)
         self._free = np.arange(ncols, dtype=np.int64)
         self.rank = 0
@@ -389,21 +448,22 @@ class ModularRREF:
         new pivot rows' kept columns are written over the front of its
         buffer, X is back-reduced over the front of its own buffer, and
         those rows become X's last rows. X's buffer never moves, so the old
-        and the new X are never alive at once. So a step holds X, one
-        reduced block on the free columns and two slabs, all sized before it
-        starts: the benchmark's four certify queries peak at 75.8 MB of RSS
-        when their order puts the (3,4) query before the (2,7) one, and at
-        78.2 MB when it puts it after."""
+        and the new X are never alive at once. So a step holds X (float32),
+        one reduced block on the free columns and two slabs, all sized
+        before it starts: 4 floor(ncols/2) ceil(ncols/2) + 8 rows free +
+        2 * 8 * 128 ncols bytes. The benchmark's four certify queries peak
+        at 64.2-66.4 MB of RSS at seeds 1 to 10, and the two 8b queries,
+        each in a fresh process, at 131 and 195 MB."""
         p, X, r = self.p, self._X, self.rank
         nfree = self._free.size
         if not len(rows) or not nfree:
             return 0
         if self._store is None:
             half = self.ncols // 2
-            self._store = np.empty(half * (self.ncols - half))
+            self._store = np.empty(half * (self.ncols - half), dtype=np.float32)
             self._slabs = (np.empty(_SLAB_ROWS * self.ncols), np.empty(_SLAB_ROWS * self.ncols))
         slab, buf = self._slabs
-        R, cols = _rref_dense(_reduce_rows(rows, X, p, slab, buf), p, buf)  # cols index into the free columns
+        R, cols = _rref_dense(_reduce_rows(rows, X, p, slab, buf), p, slab, buf)  # cols index into the free columns
         n_new = len(cols)
         if not n_new:
             return 0
@@ -436,7 +496,7 @@ class ModularRREF:
             vec = {f: 1}
             col = self._X[:, j]
             for i in np.nonzero(col)[0]:
-                vec[int(pivs[i])] = int(self.p - col[i]) % self.p
+                vec[int(pivs[i])] = -int(col[i]) % self.p
             basis.append(vec)
         return basis
 

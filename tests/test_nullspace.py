@@ -412,7 +412,8 @@ class TestModularRREF:
             start = stop
         assert mr.rank == ncols
 
-    def test_block_feeding_matches_dense_reference(self):
+    @pytest.mark.parametrize("p", [PRIMES[0], MOD_PRIMES[-1]])
+    def test_block_feeding_matches_dense_reference(self, p):
         # random rank-deficient and full-rank systems fed in random splits,
         # each block in the engine's column order at the time, with all-zero
         # blocks, blocks that mix zero rows and dependent rows into new ones,
@@ -420,10 +421,10 @@ class TestModularRREF:
         # trial of _BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1 or
         # 2 _BASE_ROWS + 1 rows, and blocks over _BASE_ROWS rows, which take
         # the _rref_dense recursion; the stored pivot rows stay rank x
-        # (ncols - rank), and the standard basis, unique mod p, must equal
-        # the dense reference's after every block
+        # (ncols - rank), float32 signed residues (integers of magnitude
+        # below p // 2 + 4, so exact in float32), and the standard basis,
+        # unique mod p, must equal the dense reference's after every block
         rng = random.Random(12)
-        p = PRIMES[2]
         sizes = (_BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 2 * _BASE_ROWS + 1)
         seen = dict(zero=0, zero_rows=0, no_rank=0, after_full=0, one_col=0, tall=0)
         seen.update({f"rows={n}": 0 for n in sizes})
@@ -464,6 +465,9 @@ class TestModularRREF:
                 assert new == mr.rank - before
                 assert mr.rank == len(piv)
                 assert mr._X.shape == (mr.rank, ncols - mr.rank)
+                assert mr._X.dtype == np.float32
+                assert np.all(np.rint(mr._X) == mr._X)
+                assert np.all(np.abs(mr._X) < p // 2 + 4)
                 assert set(mr._pivcols.tolist()) == set(piv)
                 assert mr.nullspace_mod_p() == standard_nullspace_mod_p(piv, R, ncols, p)
                 seen["zero"] += not blk.any()
@@ -523,6 +527,16 @@ class TestModularRREF:
             with pytest.raises(ValueError, match="past the exact float64 range"):
                 ModularRREF(n + 1, p)
             assert _lazy_bound(MAX_KERNEL_UNKNOWNS, p) < top(p) // 4
+
+    def test_prime_past_the_float32_range_is_refused(self):
+        # the stored pivot rows hold signed residues of magnitude below
+        # p // 2 + 4 in float32, which is exact up to 2^24: the largest
+        # modulus with p // 2 + 4 <= 2^24 is taken, and the next one, 2^25
+        # and 2^25 + 1 are refused before anything is allocated
+        assert ModularRREF(10, (1 << 25) - 7).p == (1 << 25) - 7
+        for p in ((1 << 25) - 6, 1 << 25, (1 << 25) + 1):
+            with pytest.raises(ValueError, match="past the exact float32 range"):
+                ModularRREF(10, p)
 
     def test_float_input_matches_integer_input(self):
         # float64 blocks with entries up to FLOAT_INPUT_BOUND, which the
