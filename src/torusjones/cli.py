@@ -11,8 +11,9 @@ checks cover, and the choices, knot and printed display of ``reduce``.
 ``verify`` does.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 internal error (the traceback goes to stderr), 141 the reader closed
-stdout before the output ended (128 + SIGPIPE, as a shell reports it).
+3 internal error (the traceback goes to stderr) or out of memory (one line
+on stderr, no traceback), 141 the reader closed stdout before the output
+ended (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def main(argv=None) -> int:
     except (BadParams, WrongCase, SystemTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # no traceback, which could need the memory that ran out; the
+        # message is a constant of the compiled code, so it allocates nothing
+        sys.stderr.write("error: out of memory\n")
+        return 3
     except Exception:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()

@@ -1,4 +1,4 @@
-"""Colored Jones polynomials of torus knots and the auxiliary sequences g, h.
+"""Colored Jones polynomials of torus knots and the reference sequences g, h.
 
 The color-n value of the (a,b)-torus knot is computed from the cyclotomic sum
 
@@ -26,6 +26,12 @@ alone, its two top points (adjacent for n >= 2) on that of m = n - 1.  So
 its lowest t-degree is -ab(n^2-1), plus (a-2)(b-2) for even n, and its
 highest ab(n-1)^2 + 2(a+b)(n-1) - ab(n^2-1); ``color_length`` reads the
 length off these two closed forms, before any run is made.
+
+``g_seq`` and ``h_seq`` give the paper's auxiliary sequences one color at a
+time, as TPolys. They are the references: the verifications read the same
+closed forms written once as quantum-torus elements
+(``operators.recurrence_rhs`` and ``operators.h_form``), and the tests
+check those against these.
 """
 
 from __future__ import annotations
@@ -115,7 +121,8 @@ def g_seq(K: TorusKnot, n: int) -> TPoly:
     """g(n) = t^{-2abn} (t^{2bn} [an+1] - t^{-2bn} [an-1]).
 
     This is t^{-2abn} (t^2 lambda_{(a+b)n} - t^{-2} lambda_{(a-b)n}) / (t^2 - t^{-2})
-    with the division done by the two quantum integers.
+    with the division done by the two quantum integers; the reference for
+    ``operators.recurrence_rhs``, which is (t^2 - t^{-2}) g(n+1).
     """
     a, b = K.a, K.b
     runs = quantum_integer(a * n + 1).shift(2 * b * n) - quantum_integer(a * n - 1).shift(-2 * b * n)
@@ -123,7 +130,8 @@ def g_seq(K: TorusKnot, n: int) -> TPoly:
 
 
 def h_seq(K: TorusKnot, n: int) -> TPoly:
-    """h(n) = t^{2abn} lambda_{(a-b)(n+1)} - t^{-2abn} lambda_{(a-b)(n-1)}."""
+    """h(n) = t^{2abn} lambda_{(a-b)(n+1)} - t^{-2abn} lambda_{(a-b)(n-1)};
+    the reference for ``operators.h_form``."""
     a, b = K.a, K.b
     c = a - b
     return lambda_poly(c * (n + 1)).shift(2 * a * b * n) - lambda_poly(c * (n - 1)).shift(-2 * a * b * n)
@@ -160,7 +168,3 @@ def jones_sequence(K: TorusKnot) -> DiscreteSeq:
     densely by ``colored_jones_dense``; a negative color negates the cached
     value of its positive one."""
     return DiscreteSeq.from_dense(f"J_{K}", functools.partial(_jones_fill, K))
-
-
-def h_sequence(K: TorusKnot) -> DiscreteSeq:
-    return DiscreteSeq(f"h_{K}", functools.partial(h_seq, K))

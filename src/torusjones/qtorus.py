@@ -30,11 +30,12 @@ reaches 2^62. The marks are the value, and no coefficient array is kept.
 of runs of equal coefficients on its lattice, and never makes the
 coefficient array. A colored Jones value is about n runs
 (``jones.colored_jones_dense``), so it has about 2n marks but about
-ab*n^2/4 coefficients; a sequence whose rule gives ``TPoly`` values (h,
-Q applied to J, test tables) goes through ``_dense``, which makes each term
-a run of one point. Two readers need the coefficients and expand the marks
-with ``_expand``: ``DiscreteSeq.__call__``, which builds the TPoly, and the
-kernel search's ``operators._color_blocks``, once per value and query.
+ab*n^2/4 coefficients; a sequence whose rule gives ``TPoly`` values (the
+constant 1 that closed forms act on, Q applied to J, test tables) goes
+through ``_dense``, which makes each term a run of one point. Two readers
+need the coefficients and expand the marks with ``_expand``:
+``DiscreteSeq.__call__``, which builds the TPoly, and the kernel search's
+``operators._color_blocks``, once per value and query.
 
 ``QTElem.apply`` computes the action on the marks, for one color or a
 range of colors in one call: every monomial of every term, at every color,

@@ -3,6 +3,7 @@ range of colors, against the sparse loop sum of (c * f(n+l)).shift(2kn) in
 exact TPoly arithmetic; and the reports of the sweeps, which apply each
 operator once per range, against a per-color loop of that sparse action."""
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusjones import jones, operators, qtorus
-from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
+from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, jones_sequence
 from torusjones.laurent import TPoly
 from torusjones.operators import (
     NamedOperator,
@@ -50,7 +51,7 @@ def named_cases():
 def test_named_operator_matches_sparse(name, index, jcache):
     K = SUITE_KNOTS[index]
     op = build_named(name, K).element
-    own = h_sequence(K) if name == "P" else jcache(K)
+    own = DiscreteSeq(f"h_{K}", functools.partial(h_seq, K)) if name == "P" else jcache(K)
     # J of another suite knot is not annihilated, so the results are nonzero
     other = jcache(SUITE_KNOTS[(index + 1) % len(SUITE_KNOTS)])
     nonzero = 0
@@ -366,46 +367,50 @@ def test_witness_inside_a_later_chunk(name, K, n_range, limit, monkeypatch, jcac
     assert verify_annihilation(op, f, n_range) == expected
 
 
+#: the denominator that the recurrence and lemma Q checks clear
+CLEARED = TPoly({2: 1, -2: -1})
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_recurrence_witness_matches_per_color_loop(where, monkeypatch, jcache):
+def test_recurrence_witness_matches_per_color_loop(where, jcache):
+    """J off at color w + 2 first fails D J = rhs at w; the residual is
+    (t^2 - t^-2) times the uncleared one, D J(n) - g(n+1)."""
     K, n_range = TorusKnot(3, 4), (-5, 24)
     colors = range(n_range[0], n_range[1] + 1)
     witness = at_position(colors, where)
-    monkeypatch.setattr(operators, "g_seq", off_at(g_seq, witness + 1))
     D = recurrence_operator(K)
-    J = jcache(K)
-    expected = per_color_report("recurrence3", K, colors, lambda n: sparse_apply(D, J, n) - operators.g_seq(K, n + 1))
+    J = DiscreteSeq("J off at one color", off_at(jcache(K), witness + 2))
+    expected = per_color_report("recurrence3", K, colors, lambda n: CLEARED * (sparse_apply(D, J, n) - g_seq(K, n + 1)))
     assert expected.witness_n == witness
     assert verify_recurrence(K, J, n_range) == expected
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_lemma_Q_witness_matches_per_color_loop(where, monkeypatch, jcache):
+def test_lemma_Q_witness_matches_per_color_loop(where, jcache):
+    """J off at color w + 3 first fails lemma Q at w, Q's top L-degree
+    being 3."""
     K, n_range = TorusKnot(3, 5), (-4, 16)
     colors = range(n_range[0], n_range[1] + 1)
     witness = at_position(colors, where)
-    monkeypatch.setattr(operators, "h_seq", off_at(h_seq, witness))
     Q = operators.build_Q(K.a, K.b)
-    cleared = TPoly({2: 1, -2: -1}) * Q.element
     factor = (operators.lambda_poly(K.a + K.b) - operators.lambda_poly(K.a - K.b)).shift(2 * K.a * K.b - 2)
-    J = jcache(K)
-    expected = per_color_report("lemmaQ", K, colors, lambda n: sparse_apply(cleared, J, n) - factor * operators.h_seq(K, n))
+    J = DiscreteSeq("J off at one color", off_at(jcache(K), witness + 3))
+    expected = per_color_report("lemmaQ", K, colors, lambda n: sparse_apply(CLEARED * Q.element, J, n) - factor * h_seq(K, n))
     assert expected.witness_n == witness
     assert verify_lemma_Q(Q, J, n_range) == expected
 
 
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_lemma_P_witness_matches_per_color_loop(where, monkeypatch):
+def test_lemma_P_witness_matches_per_color_loop():
+    """A perturbed P fails at the first color, with the residual of P
+    applied to the reference h color by color."""
     K, n_range = TorusKnot(3, 4), (-5, 15)
     colors = range(n_range[0], n_range[1] + 1)
-    witness = at_position(colors, where)
     P = operators.build_P(K.a, K.b)
-    top = max(l for _k, l in P.element.terms)
-    monkeypatch.setattr(jones, "h_seq", off_at(h_seq, witness + top))
-    h = h_sequence(K)
-    expected = per_color_report("lemmaP", K, colors, lambda n: sparse_apply(P.element, h, n))
-    assert expected.witness_n == witness
-    assert verify_lemma_P(P, n_range) == expected
+    bad = NamedOperator("P", K.a, K.b, P.element + parse("t^3*M*L"))
+    h = DiscreteSeq(f"h_{K}", functools.partial(h_seq, K))
+    expected = per_color_report("lemmaP", K, colors, lambda n: sparse_apply(bad.element, h, n))
+    assert expected.witness_n == colors[0]
+    assert verify_lemma_P(bad, n_range) == expected
 
 
 def test_range_needs_about_the_memory_of_its_largest_color():

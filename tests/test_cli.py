@@ -211,6 +211,14 @@ class TestExitCodes:
         assert err.startswith("internal error:")
         assert "Traceback" in err and "ZeroPolynomial: the zero polynomial has no lowest degree" in err
 
+    def test_out_of_memory_exits_3_without_a_traceback(self, capsys, monkeypatch):
+        def exhausted(identity, K, n_range, *shared):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_check", exhausted)
+        code, out, err = run(capsys, "verify", "G", "-a", "2", "-b", "3", "--n", "1..3")
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
     def test_oversized_color_is_configuration_error(self, capsys):
         # the fill refuses J(100000) from its closed-form length, before F
         # reads any value

@@ -1,9 +1,13 @@
+import functools
+import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusjones import operators
-from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, h_sequence, jones_sequence
+from torusjones.jones import SUITE_KNOTS, BadParams, TorusKnot, g_seq, h_seq, jones_sequence
 from torusjones.laurent import MLPoly, TPoly, quantum_integer
 from torusjones.operators import (
     KernelQuery,
@@ -18,9 +22,11 @@ from torusjones.operators import (
     build_Q,
     build_R,
     build_named,
+    h_form,
     matches_up_to_unit,
     minimality_kernel,
     recurrence_operator,
+    recurrence_rhs,
     verify_annihilation,
     verify_lemma_P,
     verify_lemma_Q,
@@ -28,7 +34,7 @@ from torusjones.operators import (
     verify_recurrence,
     verify_sigma_fixed,
 )
-from torusjones.qtorus import QTElem, parse
+from torusjones.qtorus import DiscreteSeq, QTElem, parse
 
 K23 = TorusKnot(2, 3)
 K34 = TorusKnot(3, 4)
@@ -118,6 +124,58 @@ def assert_fails_at_first_color(report):
     assert report.residual
 
 
+def next_color(closed_form):
+    """closed_form with each M^k turned into t^{2k} M^k: applied to 1 it
+    gives the value at n + 1 in place of n."""
+    return lambda K: QTElem({(k, l): c.shift(2 * k) for (k, l), c in closed_form(K).terms.items()})
+
+
+def at_L_one(X: QTElem) -> dict:
+    """X with L set to 1, as M-exponent -> nonzero coefficient: X applied
+    to the constant sequence 1 is this at M = t^{2n}."""
+    out = {}
+    for (k, _l), c in X.terms.items():
+        out[k] = out.get(k, TPoly.zero()) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def torus_knots(draw, min_a=2):
+    a = draw(st.integers(min_a, 39))
+    b = draw(st.integers(a + 1, 40).filter(lambda b: math.gcd(a, b) == 1))
+    return TorusKnot(a, b)
+
+
+ONE = DiscreteSeq("1", lambda n: TPoly.one())
+CLEARED = TPoly({2: 1, -2: -1})
+
+
+class TestClosedForms:
+    """The closed forms that the recurrence and lemma checks read, against
+    the paper's reference sequences color by color."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(K=torus_knots(), n=st.integers(-60, 60))
+    def test_recurrence_rhs(self, K, n):
+        if K.a == 2:
+            expected = CLEARED * quantum_integer(2 * n + 1).shift(-2 * K.b * n)
+        else:
+            expected = CLEARED * g_seq(K, n + 1)
+        assert recurrence_rhs(K).apply(ONE, n) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(K=torus_knots(min_a=3), n=st.integers(-60, 60))
+    def test_h_form(self, K, n):
+        assert h_form(K).apply(ONE, n) == h_seq(K, n)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(K=torus_knots(min_a=3))
+    def test_P_times_h_is_zero_at_L_one(self, K):
+        P = build_P(K.a, K.b).element
+        assert at_L_one(P * h_form(K)) == {}
+        assert at_L_one((P + parse("t^2*M*L")) * h_form(K)) != {}
+
+
 class TestLemmas:
     def test_lemma_Q_including_negative_colors(self, jcache):
         assert verify_lemma_Q(build_Q(3, 4), jcache(K34), (-5, 15)).passed
@@ -129,7 +187,7 @@ class TestLemmas:
         assert_fails_at_first_color(verify_lemma_Q(bad, jcache(K34), (1, 6)))
 
     def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache):
-        monkeypatch.setattr(operators, "h_seq", lambda K, n: h_seq(K, n + 1))
+        monkeypatch.setattr(operators, "h_form", next_color(h_form))
         assert_fails_at_first_color(verify_lemma_Q(build_Q(3, 4), jcache(K34), (1, 6)))
 
     def test_lemma_P(self):
@@ -137,16 +195,11 @@ class TestLemmas:
 
     def test_P_annihilates_h_at_five(self):
         p = build_P(3, 4)
-        assert p.element.apply(h_sequence(K34), 5).is_zero()
+        assert p.element.apply(DiscreteSeq("h", functools.partial(h_seq, K34)), 5).is_zero()
 
 
-#: a knot of each recurrence, and a patch of ``operators`` that turns the
-#: recurrence's right-hand side rhs(n) into rhs(n+1): g(n+1) becomes g(n+2),
-#: and t^{-2bn} [2n+1] becomes t^{-2b(n+1)} [2n+3]
-RECURRENCES = {
-    "three_term": (K34, "g_seq", lambda K, n: g_seq(K, n + 1)),
-    "two_term": (TorusKnot(2, 5), "quantum_integer", lambda k: quantum_integer(k + 2).shift(-2 * 5)),
-}
+#: a knot of each recurrence
+RECURRENCES = {"three_term": K34, "two_term": TorusKnot(2, 5)}
 
 
 class TestRecurrences:
@@ -168,15 +221,15 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("which", RECURRENCES)
     def test_perturbed_operator_fails(self, monkeypatch, jcache, which):
-        K = RECURRENCES[which][0]
+        K = RECURRENCES[which]
         bad = recurrence_operator(K) + QTElem.t_pow(2)
         monkeypatch.setattr(operators, "recurrence_operator", lambda K: bad)
         assert_fails_at_first_color(verify_recurrence(K, jcache(K), (1, 6)))
 
     @pytest.mark.parametrize("which", RECURRENCES)
     def test_right_hand_side_of_the_next_color_fails(self, monkeypatch, jcache, which):
-        K, name, shifted = RECURRENCES[which]
-        monkeypatch.setattr(operators, name, shifted)
+        K = RECURRENCES[which]
+        monkeypatch.setattr(operators, "recurrence_rhs", next_color(recurrence_rhs))
         assert_fails_at_first_color(verify_recurrence(K, jcache(K), (1, 6)))
 
 
