@@ -42,7 +42,6 @@ from .jones import (
 from .operators import (
     OPERATORS,
     KernelQuery,
-    SystemTooLarge,
     WrongCase,
     build_named,
     in_family,
@@ -83,9 +82,6 @@ class Identity:
 
     def applies(self, K: TorusKnot) -> bool:
         return in_family(self.family, K)
-
-    def default_range(self, full_z: bool) -> tuple:
-        return (1 if full_z else self.first_n, DEFAULT_LAST_N)
 
 
 def _annihilator(name: str, first_n: int) -> Identity:
@@ -209,7 +205,7 @@ def cmd_verify(args) -> int:
                 if not args.suite and args.identity != "all":
                     raise WrongCase(f"identity {entry.name} does not apply to {K}")
                 continue
-            rng = None if entry.static else n_range or entry.default_range(args.full_z)
+            rng = None if entry.static else n_range or (entry.first_n, DEFAULT_LAST_N)
             reports += run_check(entry.name, K, rng, ops, jser)
     reports.sort(key=lambda r: (r.a, r.b, r.identity, r.n_from))
     failed = False
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-b", type=int)
     p_verify.add_argument("--n", dest="n", help="range LO..HI (use --n=LO..HI for negatives)")
     p_verify.add_argument("--suite", action="store_true", help="run over the default knot set")
-    p_verify.add_argument("--full-z", action="store_true", help="start annihilation sweeps at n=1 using the parity extension")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -358,7 +353,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (BadParams, WrongCase, SystemTooLarge) as exc:
+    except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

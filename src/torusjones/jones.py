@@ -1,6 +1,6 @@
 """Colored Jones polynomials of torus knots and the reference sequences g, h.
 
-The color-n value of the (a,b)-torus knot is computed from the cyclotomic sum
+The color-n value of the (a,b)-torus knot is the cyclotomic sum
 
     J(n) = t^{-ab(n^2-1)} * sum over j in {-(n-1)/2, ..., (n-1)/2}
            of t^{4bj(aj+1)} [2aj+1],
@@ -10,15 +10,17 @@ index is doubled (m = 2j runs over integers of fixed parity), which turns the
 exponent into ab*m^2 + 2bm and keeps all arithmetic in integers.  The color is
 extended to all of Z by J(-n) = -J(n), so J(0) = 0.
 
-``colored_jones`` evaluates the sum term by term into a TPoly; it is the
-reference.  ``jones_sequence`` fills each value straight into the run-mark
-layout of ``qtorus`` that ``QTElem.apply`` reads (``colored_jones_dense``):
-the summand of m is a run of |am+1| equal coefficients, sign(am+1), at
-every fourth exponent, and every run lies on one residue class mod 4.  This
-module computes the n runs on that stride-4 lattice, and
-``qtorus._run_marks`` writes their marks, so a value costs O(n log n) and
-the coefficient array is never made.  A sequence fills J(-n) by negating
-the marks of its own cached J(n).
+The package has one algorithm for J: ``colored_jones_dense`` fills J(n),
+n >= 0, straight into the run-mark layout of ``qtorus`` that
+``QTElem.apply`` reads. The summand of m is a run of |am+1| equal
+coefficients, sign(am+1), at every fourth exponent, and every run lies on
+one residue class mod 4. This module computes the n runs on that stride-4
+lattice, and ``qtorus._run_marks`` writes their marks, so a value costs
+O(n log n) and the coefficient array is never made. ``jones_sequence``
+caches the values, and is the one place that makes J(-n): it negates the
+marks of its own cached J(n). ``colored_jones`` reads one value of it as a
+TPoly, and the ``jones`` command prints that. The sum itself, term by term,
+is the fill's oracle in the tests.
 
 No cancellation reaches either end of the span of J(n), n >= 1, so the
 value needs no trim: its lowest point lies on the run of m = 0 or m = -1
@@ -78,25 +80,9 @@ SUITE_KNOTS = (
 
 
 def colored_jones(K: TorusKnot, n: int) -> TPoly:
-    """The colored Jones polynomial J(n) of K, for any integer color n."""
-    if n == 0:
-        return TPoly.zero()
-    if n < 0:
-        return -colored_jones(K, -n)
-    a, b = K.a, K.b
-    acc: dict = {}
-    for m in range(-(n - 1), n, 2):  # m = 2j
-        base = a * b * m * m + 2 * b * m
-        bracket = quantum_integer(a * m + 1)
-        for e, c in bracket.terms.items():
-            key = base + e
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-    shift = -a * b * (n * n - 1)
-    return TPoly._wrap({e + shift: c for e, c in acc.items()})
+    """The colored Jones polynomial J(n) of K, for any integer color n: one
+    read of ``jones_sequence``."""
+    return jones_sequence(K)(n)
 
 
 def lowest_degree_formula(K: TorusKnot, n: int) -> int:
@@ -138,12 +124,12 @@ def h_seq(K: TorusKnot, n: int) -> TPoly:
 
 
 def colored_jones_dense(K: TorusKnot, n: int):
-    """J(n) in the run-mark layout, as ``qtorus._dense(colored_jones(K, n))``
-    gives it, written from the runs of the sum alone; None for n = 0."""
+    """J(n), n >= 0, in the run-mark layout, written from the runs of the
+    sum alone; None for n = 0. ``jones_sequence`` makes J(-n)."""
+    if n < 0:
+        raise ValueError("the fill takes colors n >= 0; jones_sequence makes J(-n) from J(n)")
     if n == 0:
         return None
-    if n < 0:
-        return _negated(colored_jones_dense(K, -n))
     color_length(K, n)
     a, b = K.a, K.b
     # the summand of m = 2j, [am+1] times a power of t, is the run of its
@@ -166,5 +152,5 @@ def _jones_fill(K: TorusKnot, seq: DiscreteSeq, n: int):
 def jones_sequence(K: TorusKnot) -> DiscreteSeq:
     """The colored Jones values of K as a memoized discrete sequence, filled
     densely by ``colored_jones_dense``; a negative color negates the cached
-    value of its positive one."""
+    value of its positive one, and nothing else in the package makes J(-n)."""
     return DiscreteSeq.from_dense(f"J_{K}", functools.partial(_jones_fill, K))

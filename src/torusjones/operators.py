@@ -36,11 +36,11 @@ from .nullspace import (
 from .qtorus import _COLOR_CELL_LIMIT, DiscreteSeq, QTElem, _expand, parse
 
 
-class WrongCase(ValueError):
+class WrongCase(BadParams):
     """A verification was requested for the wrong torus-knot family."""
 
 
-class SystemTooLarge(ValueError):
+class SystemTooLarge(BadParams):
     """The kernel query has more than ``MAX_KERNEL_UNKNOWNS`` unknowns."""
 
     def __init__(self, unknowns: int, cap: int):

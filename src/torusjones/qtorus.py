@@ -34,8 +34,9 @@ ab*n^2/4 coefficients; a sequence whose rule gives ``TPoly`` values (the
 constant 1 that closed forms act on, Q applied to J, test tables) goes
 through ``_dense``, which makes each term a run of one point. Two readers
 need the coefficients and expand the marks with ``_expand``:
-``DiscreteSeq.__call__``, which builds the TPoly, and the kernel search's
-``operators._color_blocks``, once per value and query.
+``DiscreteSeq.__call__``, which builds the TPoly (``jones.colored_jones``
+reads J through it, and the ``jones`` command prints that), and the kernel
+search's ``operators._color_blocks``, once per value and query.
 
 ``QTElem.apply`` computes the action on the marks, for one color or a
 range of colors in one call: every monomial of every term, at every color,
@@ -64,7 +65,9 @@ from .laurent import MLPoly, SparseRing, TPoly, _power, _product, _scaled
 
 class BadParams(ValueError):
     """Invalid torus-knot or operator parameters, or a color too large to
-    act on."""
+    act on. It and its subclasses (``operators.WrongCase``,
+    ``SystemTooLarge`` and ``Underdetermined``) are the configuration
+    errors, exit 2 of the CLI."""
 
 
 class OperatorSyntaxError(ValueError):
@@ -447,9 +450,10 @@ class DiscreteSeq:
     The cache holds each value once, in the run-mark layout (None for
     zero), not its coefficients. ``dense(n)`` reads it, as ``QTElem.apply``
     does; calling the sequence expands the marks (``_expand``) and builds
-    the TPoly. ``fn`` gives TPoly values and goes through the ``_dense``
-    adapter; ``from_dense`` takes a rule ``fill(seq, n)`` that gives the
-    layout itself and may read other values through ``seq.dense``.
+    the TPoly, as ``jones.colored_jones`` does. ``fn`` gives TPoly values
+    and goes through the ``_dense`` adapter; ``from_dense`` takes a rule
+    ``fill(seq, n)`` that gives the layout itself and may read other values
+    through ``seq.dense``.
     Evaluation is deterministic, so caching never changes semantics.
     """
 

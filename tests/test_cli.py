@@ -9,8 +9,9 @@ import time
 import pytest
 
 import torusjones
+from cyclotomic import colored_jones_sum
 from torusjones import cli, jones, operators
-from torusjones.jones import BadParams
+from torusjones.jones import SUITE_KNOTS, BadParams
 from torusjones.laurent import ZeroPolynomial
 from torusjones.operators import VerifyReport
 
@@ -51,6 +52,17 @@ class TestJonesCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["n"] for r in records] == [1, 2, 3]
         assert records[1]["terms"] == [[-1, -18], [1, -10], [1, -6], [1, -2]]
+
+    @pytest.mark.parametrize("K", SUITE_KNOTS, ids=str)
+    def test_json_lines_are_the_sum(self, capsys, K):
+        # the command prints the run-mark fill; the sum is its oracle
+        code, out, _ = run(capsys, "jones", "-a", str(K.a), "-b", str(K.b), "-n=-6..6", "--json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["n"] for r in records] == list(range(-6, 7))
+        for r in records:
+            expected = colored_jones_sum(K, r["n"])
+            assert (r["poly"], r["terms"]) == (str(expected), expected.to_json()), (str(K), r["n"])
 
     def test_check_degree(self, capsys):
         code, out, _ = run(
@@ -120,11 +132,6 @@ class TestVerifyCommand:
         rec = json.loads(out.strip())
         assert code == 0 and rec["n_from"] == 3
 
-    def test_full_z_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "R", "-a", "2", "-b", "3", "--full-z", "--json")
-        rec = json.loads(out.strip())
-        assert code == 0 and rec["n_from"] == 1
-
     def test_all_for_one_knot(self, capsys):
         code, out, _ = run(
             capsys, "verify", "all", "-a", "2", "-b", "3", "--n", "1..5", "--json"
@@ -186,13 +193,14 @@ class TestExitCodes:
         "argv, flag",
         [
             (["verify", "G", "-a", "2", "-b", "3", "--workers", "2"], "--workers 2"),
+            (["verify", "R", "-a", "2", "-b", "3", "--full-z"], "--full-z"),
             (
                 ["kernel", "-a", "2", "-b", "3", "--L-deg", "1", "--M-deg", "2",
                  "--t-window=-2..2", "--n-range", "1..3", "--cap", "5"],
                 "--cap 5",
             ),
         ],
-        ids=["workers", "cap"],
+        ids=["workers", "full-z", "cap"],
     )
     def test_workers_is_unknown_argument(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ every named operator on every applicable suite knot, of the (2,3)
 benchmark (6,669 unknowns, dimension 0), JSON. The last exact (2,3) query's
 kernel has coefficients up to 26,361, past what one prime lifts (about
 511). Four ``verify`` runs cover the sweeps over n-ranges:
-``verify all --suite --full-z --json``, ``verify all`` on (3,4) over
+``verify all --suite --n 1..20 --json``, ``verify all`` on (3,4) over
 n = -5..24 and on (2,9) over n = -6..6, both JSON (these ranges cross 0,
 where J(0) is zero and J(+-1) has one term), and ``verify PQ`` on (5,7)
 over n = 4..60 as text. ``jones`` on (2,3) over n = -3..6, as text, JSON

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotomic import colored_jones_sum
 from torusjones.jones import (
     SUITE_KNOTS,
     BadParams,
@@ -82,13 +83,13 @@ def lattice_array(v: TPoly) -> np.ndarray:
 
 
 def assert_same_layout(K, n):
-    """The dense fill of J(n) equals the sum's value laid out by ``_dense``,
+    """The sequence's fill of J(n) equals the sum's value laid out by ``_dense``,
     field by field: lowest exponent, stride, length, max |coefficient| and
     run marks (positions, dtype and values). The marks expand to the sum's
     coefficient array, in dtype and in every entry, and the length is that
     array's."""
-    value = colored_jones(K, n)
-    got, expected = colored_jones_dense(K, n), _dense(value)
+    value = colored_jones_sum(K, n)
+    got, expected = jones_sequence(K).dense(n), _dense(value)
     if expected is None:
         assert got is None, (str(K), n)
         return
@@ -119,7 +120,14 @@ class TestDenseFill:
     def test_sequence_values_are_the_sum(self):
         seq = jones_sequence(K34)
         for n in range(-12, 13):
-            assert seq(n) == colored_jones(K34, n)
+            assert seq(n) == colored_jones_sum(K34, n)
+
+    def test_fill_leaves_negative_colors_to_the_sequence(self):
+        with pytest.raises(ValueError, match="jones_sequence makes J"):
+            colored_jones_dense(K34, -1)
+        seq = jones_sequence(K34)
+        assert seq(-5) == -seq(5)
+        assert seq.dense(-5)[4] is seq.dense(5)[4]
 
     def test_sweep_leaves_no_tpoly_in_the_cache(self):
         seq = jones_sequence(TorusKnot(5, 7))
@@ -156,7 +164,7 @@ class TestDenseFill:
         length (field 2) that the fill computes from its runs, for J(n) and
         J(-n)."""
         K = TorusKnot(*ab)
-        value = colored_jones_dense(K, sign * n)
+        value = jones_sequence(K).dense(sign * n)
         assert value[0] == lowest_degree_formula(K, n)
         assert value[1] == (4 if n > 1 else 0)
         assert value[2] == color_length(K, sign * n)
@@ -171,7 +179,7 @@ class TestDenseFill:
         message = "color {} of T\\(3,4\\) spans {} coefficients, above the limit of 67,108,864"
         for n, length in ((4731, "67,135,256"), (-4731, "67,135,256"), (10**8, "[0-9,]+")):
             with pytest.raises(BadParams, match=message.format(abs(n), length)):
-                colored_jones_dense(K34, n)
+                jones_sequence(K34).dense(n)
         tracemalloc.start()
         try:
             with pytest.raises(BadParams):

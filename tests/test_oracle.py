@@ -1,7 +1,9 @@
 """J(n) of the package against the R-matrix oracle of ``rmatrix.py``, which
 shares no formula with it: on every suite knot, at the colors where the
-oracle's n^a cost stays small, through both the run-mark fill that the
-commands read (``jones_sequence``) and the reference sum (``colored_jones``).
+oracle's n^a cost stays small: the run-mark fill as ``verify`` and
+``kernel`` read it (``jones_sequence``) and as the ``jones`` command prints
+it (``colored_jones``), and the fill's other oracle, the cyclotomic sum of
+``cyclotomic.py``.
 """
 
 import itertools
@@ -9,6 +11,7 @@ import itertools
 import pytest
 
 import rmatrix
+from cyclotomic import colored_jones_sum
 from torusjones.jones import SUITE_KNOTS, TorusKnot, colored_jones, jones_sequence
 
 #: the largest color compared on each suite knot; the whole grid takes
@@ -28,6 +31,7 @@ def test_colored_jones_matches_the_braid_trace(a, b):
         expected = rmatrix.colored_jones(a, b, n)
         assert dict(seq(n).terms) == expected, (a, b, n)
         assert dict(colored_jones(K, n).terms) == expected, (a, b, n)
+        assert dict(colored_jones_sum(K, n).terms) == expected, (a, b, n)
 
 
 def test_braid_relation_on_three_factors():
